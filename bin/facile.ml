@@ -1249,16 +1249,11 @@ let cache_verify_cmd =
                    | exception _ ->
                      [ where ^ ": stored bytes no longer decode" ]
                    | block ->
-                     (if Block.form_sig block <> rec_.Store_codec.form_sig
-                      then [ where ^ ": form signature changed" ]
-                      else [])
-                     @
                      let fresh =
                        Model.predict
                          ~notion:
-                           (match rec_.Store_codec.notion with
-                            | `Loop -> Model.L
-                            | `Unrolled -> Model.U)
+                           (Facile_engine.Engine.notion_of_mode
+                              rec_.Store_codec.mode)
                          block
                      in
                      if Store_codec.pred_equal fresh rec_.Store_codec.pred

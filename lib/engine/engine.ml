@@ -12,10 +12,25 @@ module Sync = Facile_core.Sync
 (* chunks without further coordination and each index is claimed by    *)
 (* exactly one domain.                                                 *)
 
-(* The memoization key: keyed on the block's form signature (cheap int
-   hash of its dense form ids) before the bytes, so most lookups
-   reject on an int compare instead of a string compare. *)
-type memo_key = Config.arch * [ `Loop | `Unrolled ] * int * string
+type mode = [ `Loop | `Unrolled | `Auto ]
+
+(* The memoization key: the requested mode, not the resolved notion,
+   so a request resolves to its key from its bytes alone, before any
+   block is built.  The same bytes always resolve [`Auto] the same
+   way, so the key is sound. *)
+type memo_key = Config.arch * mode * string
+
+module Json = Facile_obs.Json
+
+(* One cached prediction, plus its response fields ({!render}) once a
+   hit has asked for them.  The slot is set at most once; keys that are
+   never hit keep no rendered text. *)
+type entry = {
+  pred : Model.prediction;
+  fields : (string * Json.t) list option Atomic.t;
+}
+
+let entry pred = { pred; fields = Atomic.make None }
 
 type t = {
   size : int;
@@ -32,7 +47,7 @@ type t = {
      endless distinct traffic cannot grow without limit and concurrent
      requests do not serialize on one cache lock *)
   memoize : bool;
-  memo : (memo_key, Model.prediction) Shard_cache.t;
+  memo : (memo_key, entry) Shard_cache.t;
 }
 
 let rec worker_loop pool seen_epoch =
@@ -55,12 +70,13 @@ let rec worker_loop pool seen_epoch =
 
 let default_cache_cap = 65536
 
-(* Shard selection must mix every key component: form signatures are
-   already FNV-mixed, the arch and notion are small enums folded in so
-   the same bytes on two arches spread over different shards. *)
-let memo_hash ((arch, notion, sig_, _bytes) : memo_key) =
-  let h = sig_ lxor (Hashtbl.hash arch * 0x9e3779b1) in
-  h lxor (match notion with `Loop -> 0x5bd1e995 | `Unrolled -> 0)
+(* Shard selection must mix every key component: the bytes are hashed
+   whole, the arch and mode are small enums folded in so the same
+   bytes on two arches spread over different shards. *)
+let memo_hash ((arch, mode, bytes) : memo_key) =
+  let h = Hashtbl.hash bytes lxor (Hashtbl.hash arch * 0x9e3779b1) in
+  h
+  lxor (match mode with `Loop -> 0x5bd1e995 | `Unrolled -> 0 | `Auto -> 0x27d4eb2f)
 
 let create ?workers ?(memoize = true) ?(cache_cap = default_cache_cap)
     ?cache_shards () =
@@ -161,17 +177,10 @@ let map_list pool f xs = Array.to_list (map pool f (Array.of_list xs))
 (* ------------------------------------------------------------------ *)
 (* Memoized block prediction                                           *)
 
-type mode = [ `Loop | `Unrolled | `Auto ]
-
-let notion_of_block mode (b : Block.t) =
-  match mode with
-  | (`Loop | `Unrolled) as m -> m
-  | `Auto -> if Block.ends_in_branch b then `Loop else `Unrolled
-
-let predict_one notion b =
-  match notion with
-  | `Loop -> Model.predict ~notion:Model.L b
-  | `Unrolled -> Model.predict ~notion:Model.U b
+let notion_of_mode = function
+  | `Loop -> Model.L
+  | `Unrolled -> Model.U
+  | `Auto -> Model.Auto
 
 (* resolved once; see Facile_obs.Obs — recording is lock-free *)
 let batch_span = Facile_obs.Obs.histogram "engine.batch"
@@ -180,32 +189,55 @@ let predict_span = Facile_obs.Obs.histogram "engine.predict"
 (* One pass over the sharded cache: a single lock acquisition settles
    hit / join-flight / own-compute, and duplicates — within a batch or
    across concurrent requests — coalesce onto one compute. *)
-let memo_predict pool notion b =
-  let key =
-    (b.Block.cfg.Config.arch, notion, Block.form_sig b, b.Block.bytes)
-  in
-  Shard_cache.find_or_compute pool.memo key (fun () -> predict_one notion b)
+let memo_predict pool mode (b : Block.t) =
+  (Shard_cache.find_or_compute pool.memo
+     (b.Block.cfg.Config.arch, mode, b.Block.bytes)
+     (fun () -> entry (Model.predict ~notion:(notion_of_mode mode) b)))
+    .pred
 
-(* Memoized single-block prediction on the calling domain: the serving
-   layer's per-request path, sharing the cross-batch cache (and its
-   hit/miss accounting) with [predict_batch]. *)
 let predict pool ~mode b =
   Facile_obs.Obs.timed predict_span @@ fun () ->
-  (* fault-injection and deadline hook for the serving path; a no-op
-     unless FACILE_FAULT or a request deadline is armed *)
-  Fault.point "predict";
-  let notion = notion_of_block mode b in
-  if not pool.memoize then predict_one notion b
-  else memo_predict pool notion b
+  if not pool.memoize then Model.predict ~notion:(notion_of_mode mode) b
+  else memo_predict pool mode b
 
 let predict_batch pool ~mode blocks =
   Facile_obs.Obs.timed batch_span @@ fun () ->
   let blocks = Array.of_list blocks in
   let f =
-    if not pool.memoize then fun b -> predict_one (notion_of_block mode b) b
-    else fun b -> memo_predict pool (notion_of_block mode b) b
+    if not pool.memoize then fun b -> Model.predict ~notion:(notion_of_mode mode) b
+    else memo_predict pool mode
   in
   Array.to_list (map pool f blocks)
+
+(* ------------------------------------------------------------------ *)
+(* Byte-keyed lookup with rendered responses: the serving path         *)
+
+let render p =
+  match Model.prediction_to_json p with
+  | Json.Obj fields -> List.map (fun (k, v) -> (k, Json.Raw (Json.to_string v))) fields
+  | j -> [ "prediction", Json.Raw (Json.to_string j) ]
+
+let rendered e =
+  match Atomic.get e.fields with
+  | Some f -> f
+  | None ->
+    (* racing first hits render identical text; whichever lands first
+       is kept, the other's copy is simply dropped *)
+    let f = render e.pred in
+    ignore (Atomic.compare_and_set e.fields None (Some f));
+    f
+
+let predict_fields pool arch ~mode bytes compute =
+  if not pool.memoize then render (compute ())
+  else begin
+    let owner = ref false in
+    let e =
+      Shard_cache.find_or_compute pool.memo (arch, mode, bytes) (fun () ->
+          owner := true;
+          entry (compute ()))
+    in
+    if !owner then render e.pred else rendered e
+  end
 
 let memo_stats pool =
   let s = Shard_cache.stats pool.memo in
@@ -218,7 +250,8 @@ let memo_stats pool =
    loaded records without touching the hit/miss accounting, so stats
    reflect only this process's traffic. *)
 
-let memo_entries pool = Shard_cache.to_list pool.memo
+let memo_entries pool =
+  List.map (fun (k, e) -> (k, e.pred)) (Shard_cache.to_list pool.memo)
 
 let memo_seed pool entries =
   if pool.memoize then
@@ -226,7 +259,9 @@ let memo_seed pool entries =
        the store preserves); insert oldest first so each shard's LRU
        keeps the same recency and a bounded cache evicts the same cold
        tail *)
-    List.iter (fun (k, v) -> Shard_cache.add pool.memo k v) (List.rev entries)
+    List.iter
+      (fun (k, v) -> Shard_cache.add pool.memo k (entry v))
+      (List.rev entries)
 
 type cache_stats = {
   hits : int;

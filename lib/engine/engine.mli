@@ -10,7 +10,7 @@
     calling domain, so the pool can be used unconditionally.
 
     [predict_batch] adds a memoization layer keyed on
-    [(arch, throughput notion, block bytes)]: repeated blocks in a
+    [(arch, requested mode, block bytes)]: repeated blocks in a
     corpus — common in BHive-style suites — are predicted once and the
     result is reused, both within a batch and across batches of the
     same pool.  The cache is sharded ({!Shard_cache}): each key hashes
@@ -87,6 +87,9 @@ val map_list : t -> ('a -> 'b) -> 'a list -> 'b list
     {!Facile_core.Block.ends_in_branch} (like {!Facile_core.Model.predict}). *)
 type mode = [ `Loop | `Unrolled | `Auto ]
 
+(** The {!Facile_core.Model.notion} a mode asks for. *)
+val notion_of_mode : mode -> Model.notion
+
 (** [predict_batch t ~mode blocks] predicts every block, in parallel,
     memoized. The result list is ordered like the input, and is
     bit-identical to a sequential [List.map] of
@@ -98,8 +101,27 @@ val predict_batch : t -> mode:mode -> Block.t list -> Model.prediction list
 
 (** [predict t ~mode b] — memoized single-block prediction on the
     calling domain, sharing the cache (and hit/miss accounting) with
-    {!predict_batch}. This is the serving layer's per-request path. *)
+    {!predict_batch}, keyed on [b]'s arch and bytes. *)
 val predict : t -> mode:mode -> Block.t -> Model.prediction
+
+(** [render p] — the response fields of [p]: the top-level members of
+    {!Facile_core.Model.prediction_to_json}, each value frozen into
+    [Json.Raw] text, so [Json.to_string (Obj (("id", id) :: render p))]
+    equals the same object built from [prediction_to_json p]. *)
+val render : Model.prediction -> (string * Facile_obs.Json.t) list
+
+(** [predict_fields t arch ~mode bytes compute] — the serving layer's
+    per-request path: the response fields ({!render}) for the key
+    [(arch, mode, bytes)], looked up without building a block.  A hit
+    returns the entry's rendered fields, rendering them on the entry's
+    first hit and reusing them after.  A miss runs [compute ()] on the
+    calling thread (single flight, as in {!predict}), caches its
+    prediction, and renders it without keeping the text.  An exception
+    from [compute] propagates and caches nothing.  With
+    [~memoize:false] every call computes. *)
+val predict_fields :
+  t -> Facile_uarch.Config.arch -> mode:mode -> string ->
+  (unit -> Model.prediction) -> (string * Facile_obs.Json.t) list
 
 (** [(hits, misses)] of the memoization layer since [create]. A miss is
     a distinct key actually predicted; a hit is a reuse, whether from a
@@ -107,12 +129,11 @@ val predict : t -> mode:mode -> Block.t -> Model.prediction
     earlier batch. *)
 val memo_stats : t -> int * int
 
-(** The memoization key: microarchitecture, resolved throughput
-    notion, the block's form signature ({!Facile_core.Block.form_sig})
-    and its exact bytes.  Exposed so the persistent prediction store
+(** The memoization key: microarchitecture, requested mode, and the
+    block's exact bytes.  Exposed so the persistent prediction store
     ([Facile_store]) can flush and re-seed the cache across process
     restarts. *)
-type memo_key = Facile_uarch.Config.arch * [ `Loop | `Unrolled ] * int * string
+type memo_key = Facile_uarch.Config.arch * mode * string
 
 (** Snapshot of the memo cache in deterministic shard-merge order
     (shard 0 most-recent first, then shard 1, ...). *)

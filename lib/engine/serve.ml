@@ -5,6 +5,12 @@
    pays decode+predict once per distinct block instead of a process
    start per request.
 
+   A predict request resolves to its cache key — arch, requested mode,
+   and the block's bytes (hex decoded, or asm parsed and encoded) — on
+   the session thread, which also does the cache lookup.  A hit is
+   answered there from the entry's pre-rendered response fields: no
+   x86 decode, no block build, no executor hop, no re-serialization.
+
    This module is the protocol/session core only: request parsing,
    admission limits, deadlines, supervised execution, response
    encoding, and the shared statistics.  Byte-stream mechanics live in
@@ -15,14 +21,15 @@
 
    The pipeline is built to degrade gracefully rather than die:
 
-   - the heavy per-request work (decode + predict) runs on a
-     supervised executor domain ({!Supervise}); a crash there — real
+   - only a cache miss runs the heavy work (block build + predict), on
+     a supervised executor domain ({!Supervise}); a crash there — real
      bug or injected fault — yields a typed "internal" error for that
-     request only, and the executor is respawned with exponential
-     backoff behind a circuit breaker;
-   - each request runs under an optional wall-clock deadline
+     request only, caches nothing, and the executor is respawned with
+     exponential backoff behind a circuit breaker;
+   - each miss runs under an optional wall-clock deadline
      ({!Fault.with_deadline}) and answers "timeout" when the budget is
-     spent;
+     spent; the deadline bounds compute, so a cached answer is served
+     even under a zero budget;
    - a bounded per-session request queue decouples reading from
      handling; when it fills, new lines are shed with a "retry_after"
      error instead of growing memory, and a per-session token bucket
@@ -403,54 +410,92 @@ let mode_of_string = function
       (Err.v Err.Unknown_mode
          (Printf.sprintf "unknown mode: %s (expected loop|unroll|auto)" m))
 
-let block_of_request cfg ~hex ~asm =
-  Fault.point "decode";
+(* A predict request's cache-key bytes, resolved on the session thread:
+   hex through {!Hex.decode}, asm through the parser and encoder. *)
+let request_bytes ~hex ~asm =
   match hex, asm with
-  | Some h, _ ->
-    Result.bind (Hex.decode h) (fun code ->
-        match Block.of_bytes cfg code with
-        | b -> Ok b
-        | exception Decode.Decode_error (m, off) ->
-          Error (Err.v ~pos:off Err.Encode_error ("cannot decode: " ^ m))
-        | exception Facile_db.Db.Unsupported m ->
-          Error (Err.v Err.Encode_error ("unsupported instruction: " ^ m))
-        | exception Failure m -> Error (Err.v Err.Encode_error m))
+  | Some h, _ -> Hex.decode h
   | None, Some a ->
     (match Asm.parse_block a with
      | Error m -> Error (Err.v Err.Parse_error m)
      | Ok insts ->
-       (match Block.of_instructions cfg insts with
-        | b -> Ok b
+       (match Encode.encode_block insts with
+        | bytes, _ -> Ok bytes
         | exception Encode.Unencodable m ->
           Error (Err.v Err.Encode_error ("cannot encode: " ^ m))
-        | exception Facile_db.Db.Unsupported m ->
-          Error (Err.v Err.Encode_error ("unsupported instruction: " ^ m))
         | exception Failure m -> Error (Err.v Err.Encode_error m)))
   | None, None -> assert false
 
-(* The heavy half of a request: decode + size check + predict.  Runs
-   on the supervised executor domain under the request deadline;
-   injected faults and real bugs raise and kill the executor, a spent
-   deadline surfaces as [`Timeout]. *)
-let compute t cfg ~mode ~hex ~asm =
-  match
-    Fault.with_deadline t.deadline_ns (fun () ->
-        Result.bind (block_of_request cfg ~hex ~asm) (fun block ->
-            if List.length block.Block.entries > t.limits.max_insts then
-              Error
-                (Err.v Err.Too_large
-                   (Printf.sprintf
-                      "block has %d instructions, limit is %d"
-                      (List.length block.Block.entries) t.limits.max_insts))
-            else Ok (Engine.predict t.engine ~mode block)))
-  with
-  | r -> `Done r
-  | exception Fault.Deadline_exceeded -> `Timeout
+let block_of_bytes cfg bytes =
+  match Block.of_bytes cfg bytes with
+  | b -> Ok b
+  | exception Decode.Decode_error (m, off) ->
+    Error (Err.v ~pos:off Err.Encode_error ("cannot decode: " ^ m))
+  | exception Facile_db.Db.Unsupported m ->
+    Error (Err.v Err.Encode_error ("unsupported instruction: " ^ m))
+  | exception Failure m -> Error (Err.v Err.Encode_error m)
 
 let timeout_err t =
   Err.v Err.Timeout
     (Printf.sprintf "request exceeded its %dms deadline"
        (match t.deadline_ns with Some ns -> ns / 1_000_000 | None -> 0))
+
+(* The heavy half of a cache miss: block build + size check + predict.
+   Runs on the supervised executor domain under the request deadline;
+   injected faults and real bugs raise and kill the executor, a spent
+   deadline answers a typed timeout. *)
+let compute t cfg ~mode bytes =
+  match
+    Fault.with_deadline t.deadline_ns (fun () ->
+        Fault.point "decode";
+        Result.bind (block_of_bytes cfg bytes) (fun block ->
+            let n = List.length block.Block.entries in
+            if n > t.limits.max_insts then
+              Error
+                (Err.v Err.Too_large
+                   (Printf.sprintf "block has %d instructions, limit is %d" n
+                      t.limits.max_insts))
+            else begin
+              Fault.point "predict";
+              Ok (Model.predict ~notion:(Engine.notion_of_mode mode) block)
+            end))
+  with
+  | r -> r
+  | exception Fault.Deadline_exceeded -> Error (timeout_err t)
+
+(* How a miss failed; raised out of the cache's flight so that nothing
+   is cached, and turned into the response by [predict_response]. *)
+exception Miss_error of Err.t
+exception Miss_crash of exn
+
+let miss t cfg ~mode bytes () =
+  match Supervise.run t.sup (fun () -> compute t cfg ~mode bytes) with
+  | Ok (Ok p) -> p
+  | Ok (Error e) -> raise (Miss_error e)
+  | Error e -> raise (Miss_crash e)
+
+(* A predict request after validation: resolve its bytes, then answer
+   from the cache; only a miss crosses to the executor. *)
+let predict_response t ~id cfg ~mode ~hex ~asm =
+  match request_bytes ~hex ~asm with
+  | Error e -> err_response t ~id e
+  | Ok bytes ->
+    (match
+       Engine.predict_fields t.engine cfg.Config.arch ~mode bytes
+         (miss t cfg ~mode bytes)
+     with
+     | fields ->
+       Atomic.incr t.predicted;
+       Obs.Cmap.bump t.by_arch cfg.Config.abbrev;
+       tick_persist t;
+       Json.Obj (("id", id) :: fields)
+     | exception Miss_error e -> err_response t ~id e
+     | exception Miss_crash (Fault.Injected p) ->
+       error_response t ~id ~kind:"internal"
+         (Printf.sprintf "injected fault at %s killed the worker (respawning)"
+            p)
+     | exception Miss_crash e ->
+       error_response t ~id ~kind:"internal" (Printexc.to_string e))
 
 (* Every key a request object may carry; anything else is rejected
    with a bad_request naming the offending key, so protocol typos and
@@ -525,27 +570,7 @@ let handle_request t (req : Json.t) : Json.t =
                          ("unknown microarchitecture: " ^ arch))
                   | Some _, Error e -> err_response t ~id e
                   | Some cfg, Ok mode ->
-                    (match
-                       Supervise.run t.sup (fun () ->
-                           compute t cfg ~mode ~hex ~asm)
-                     with
-                     | Ok (`Done (Error e)) -> err_response t ~id e
-                     | Ok `Timeout -> err_response t ~id (timeout_err t)
-                     | Error (Fault.Injected p) ->
-                       error_response t ~id ~kind:"internal"
-                         (Printf.sprintf
-                            "injected fault at %s killed the worker \
-                             (respawning)" p)
-                     | Error e ->
-                       error_response t ~id ~kind:"internal"
-                         (Printexc.to_string e)
-                     | Ok (`Done (Ok p)) ->
-                       Atomic.incr t.predicted;
-                       Obs.Cmap.bump t.by_arch cfg.Config.abbrev;
-                       tick_persist t;
-                       (match Model.prediction_to_json p with
-                        | Json.Obj fields -> Json.Obj (("id", id) :: fields)
-                        | other -> Json.Obj [ "id", id; "prediction", other ]))
+                    predict_response t ~id cfg ~mode ~hex ~asm
                 end))))
   | _ ->
     error_response t ~id:Json.Null ~kind:"bad_request"

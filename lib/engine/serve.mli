@@ -32,10 +32,13 @@
     ["internal"] (the supervised executor crashed — a bug or an
     injected fault — and was respawned).
 
-    Robustness model: decode + predict run on a supervised executor
-    domain with respawn/backoff and a circuit breaker ({!Supervise});
-    requests carry an optional wall-clock deadline; input sizes are
-    capped; the memo cache is a bounded LRU; EOF/SIGINT/SIGTERM/EPIPE
+    Request path: the request resolves to its cache key (arch, mode,
+    bytes) on the calling thread, and a cache hit is answered there
+    from pre-rendered response fields.  Robustness model: only a miss
+    runs block build + predict, on a supervised executor domain with
+    respawn/backoff and a circuit breaker ({!Supervise}); a miss
+    carries an optional wall-clock deadline (it bounds compute, so a
+    hit answers even under a zero budget); input sizes are capped; the memo cache is a bounded LRU; EOF/SIGINT/SIGTERM/EPIPE
     all drain queued work and flush a final stats snapshot
     ([{"final_stats":..}] on stderr) before returning.  A dead client
     kills only its own session, never the process or the shared
@@ -130,7 +133,9 @@ val stopping : t -> bool
 
 (** [handle_line t line] processes one request line and returns the
     response object (without the wire-layer ["proto"] tag — transports
-    add it via {!with_proto}). Never raises. *)
+    add it via {!with_proto}). Never raises.  A prediction's fields
+    are [Json.Raw] text ({!Engine.render}); read typed values off the
+    serialized response. *)
 val handle_line : t -> string -> Facile_obs.Json.t
 
 (** Append [("proto", proto_version)] to a response object that does

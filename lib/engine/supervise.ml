@@ -12,8 +12,10 @@
    thread in guarded "degraded sequential mode" instead.  The breaker
    closes again after a cooldown.
 
-   [run] is designed for one dispatcher thread (the serve handler
-   loop); it is not a general-purpose thread-safe job pool. *)
+   [run] is safe for concurrent callers (one per serving session, see
+   [run] below), but it is not a job pool: every job funnels through
+   the one executor domain.  The serving layer sends it cache misses
+   only. *)
 
 module Clock = Facile_obs.Clock
 module Sync = Facile_core.Sync

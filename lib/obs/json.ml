@@ -11,6 +11,10 @@ type t =
   | Str of string
   | Arr of t list
   | Obj of (string * t) list
+  | Raw of string
+      (* verbatim, already-valid JSON text, printed as is: a value
+         rendered once and reused (the serving cache's response
+         fields).  [parse] never produces it. *)
 
 (* ----- printing ----- *)
 
@@ -32,13 +36,18 @@ let add_escaped buf s =
     s;
   Buffer.add_char buf '"'
 
+(* The C primitive [Printf]'s [%f]/[%g] conversions end in; calling it
+   directly skips the format interpretation, with the same output for
+   every finite float. *)
+external format_float : string -> float -> string = "caml_format_float"
+
 let float_repr f =
   (* JSON has no nan/inf; shortest decimal form that round-trips *)
   if not (Float.is_finite f) then "null"
-  else if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.1f" f
+  else if Float.is_integer f && Float.abs f < 1e15 then format_float "%.1f" f
   else
-    let s = Printf.sprintf "%.12g" f in
-    if float_of_string s = f then s else Printf.sprintf "%.17g" f
+    let s = format_float "%.12g" f in
+    if float_of_string s = f then s else format_float "%.17g" f
 
 let rec add buf = function
   | Null -> Buffer.add_string buf "null"
@@ -64,6 +73,7 @@ let rec add buf = function
         add buf v)
       kvs;
     Buffer.add_char buf '}'
+  | Raw s -> Buffer.add_string buf s
 
 let to_string v =
   let buf = Buffer.create 256 in

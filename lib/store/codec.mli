@@ -1,12 +1,12 @@
 (** Binary codec for one persisted prediction record.
 
     A record is the full memoization unit of the engine —
-    [(arch, notion, form_sig, bytes)] plus the prediction — encoded
+    [(arch, mode, bytes)] plus the prediction — encoded
     into a compact little-endian byte string.  Floats are carried as
     their IEEE-754 bit patterns, so a decode∘encode round trip is
     bit-identical (enforced by the [store] family of [facile check]).
 
-    The codec is strict on decode: unknown arch/notion/component/
+    The codec is strict on decode: unknown arch/mode/component/
     fe-path codes, truncated fields, and trailing bytes are all
     rejected with a reason, so a frame whose CRC passed but whose
     content is skewed is quarantined rather than half-trusted. *)
@@ -16,8 +16,7 @@ open Facile_core
 
 type record = {
   arch : Config.arch;
-  notion : [ `Loop | `Unrolled ];
-  form_sig : int;   (** {!Facile_core.Block.form_sig} of the block *)
+  mode : Facile_engine.Engine.mode;  (** the mode the request asked for *)
   bytes : string;   (** the block's machine code, verbatim *)
   pred : Model.prediction;
 }

@@ -233,9 +233,31 @@ let soak_n = 5000
 
 let soak_args = [ "--queue"; "100000"; "--max-input-bytes"; "4096" ]
 
+(* A block no other request asks for: [mov rax, imm32] with [i] as the
+   immediate. *)
+let fresh_request i =
+  Json.to_string
+    (Json.Obj
+       [ "id", Json.Int i;
+         "hex",
+         Json.Str
+           (Printf.sprintf "48c7c0%02x%02x%02x%02x" (i land 0xff)
+              ((i lsr 8) land 0xff) ((i lsr 16) land 0xff)
+              ((i lsr 24) land 0xff)) ])
+
+(* The soak corpus: the mixed requests, with every fifth line a fresh
+   key.  The mixed requests repeat ~20 cache keys, and a cached key
+   runs no compute, so without fresh keys the decode and predict fault
+   points (and the executor crashes they cause) would stop once those
+   keys are warm. *)
+let soak_corpus () =
+  let rng = mk_rng 1L in
+  List.init soak_n (fun i ->
+      if i mod 5 = 4 then fresh_request i else mixed_request rng i)
+
 let phase_baseline () =
   Printf.printf "phase: baseline soak (%d mixed requests)\n%!" soak_n;
-  let reqs = corpus ~n:soak_n ~seed:1 in
+  let reqs = soak_corpus () in
   let r = run_serve ~args:soak_args reqs in
   check "exit 0" (r.exit_code = 0);
   checkf "one response per request" (List.length r.lines = soak_n)
@@ -261,7 +283,7 @@ let phase_baseline () =
 
 let phase_faults baseline =
   Printf.printf "phase: fault-injected soak (same corpus, faults armed)\n%!";
-  let reqs = corpus ~n:soak_n ~seed:1 in
+  let reqs = soak_corpus () in
   let r =
     run_serve ~args:soak_args
       ~env:[ "FACILE_FAULT", "decode:0.02:7,predict:0.02:11,respond:0.01:13" ]

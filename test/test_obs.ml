@@ -110,6 +110,43 @@ let qcheck_float_identity =
       | Ok Json.Null -> not (Float.is_finite f)
       | _ -> false)
 
+(* The [Printf] spelling [Json.float_repr] replaced, kept as the
+   oracle: the direct [caml_format_float] calls must print every float
+   byte for byte the same. *)
+let float_repr_printf f =
+  if not (Float.is_finite f) then "null"
+  else if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.1f" f
+  else
+    let s = Printf.sprintf "%.12g" f in
+    if float_of_string s = f then s else Printf.sprintf "%.17g" f
+
+let qcheck_float_repr_oracle =
+  let gen =
+    QCheck.Gen.(
+      frequency
+        [ (* any IEEE bit pattern: NaNs, infinities, normals *)
+          4, map Int64.float_of_bits int64;
+          (* subnormals, both signs *)
+          2,
+          map2
+            (fun neg m ->
+              let f = Int64.float_of_bits (Int64.logand m 0xF_FFFF_FFFF_FFFFL) in
+              if neg then -.f else f)
+            bool int64;
+          1, oneofl [ 0.0; -0.0; Float.min_float; Float.max_float;
+                      Float.epsilon; 1e15; -1e15; 1e15 -. 1.; 1e15 +. 2. ];
+          (* integers around the %.1f / %g switch-over at 1e15 *)
+          2,
+          map (fun k -> 1e15 +. float_of_int k) (int_range (-1000) 1000);
+          2, map (fun k -> float_of_int k) int;
+          (* the short decimals predictions are made of *)
+          2, map2 (fun a b -> float_of_int a /. float_of_int (b + 1))
+               small_signed_int small_nat ])
+  in
+  QCheck.Test.make ~count:5000 ~name:"float_repr equals its Printf spelling"
+    (QCheck.make gen ~print:(Printf.sprintf "%h"))
+    (fun f -> String.equal (Json.float_repr f) (float_repr_printf f))
+
 (* ------------------------------------------------------------------ *)
 (* Histogram                                                           *)
 
@@ -209,9 +246,11 @@ let qcheck_wire_requests serve =
         | Some _, None -> false
         | None, Some k -> k = "encode_error"
         | None, None ->
-          (* echoed id and a numeric cycles field *)
-          get [ "id" ] resp = Some (Json.Int 7)
-          && Option.bind (get [ "cycles" ] resp) Json.float_opt <> None
+          (* echoed id and a numeric cycles field, read off the wire:
+             prediction fields are pre-rendered text until parsed *)
+          let wire = Result.get_ok (Json.parse (Json.to_string resp)) in
+          get [ "id" ] wire = Some (Json.Int 7)
+          && Option.bind (get [ "cycles" ] wire) Json.float_opt <> None
       end)
 
 (* ------------------------------------------------------------------ *)
@@ -370,6 +409,7 @@ let suite =
   [ "obs.json",
     QCheck_alcotest.to_alcotest qcheck_json_roundtrip
     :: QCheck_alcotest.to_alcotest qcheck_float_identity
+    :: QCheck_alcotest.to_alcotest qcheck_float_repr_oracle
     :: json_tests;
     "obs.histogram", histogram_tests;
     "obs.wire",

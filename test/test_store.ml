@@ -43,25 +43,22 @@ let block_of_hex cfg h =
 
 (* A real record: run the model so predictions carry genuine
    bottleneck/value structure, not synthetic placeholders. *)
-let mk_record ?(arch = Config.SKL) ?(notion = `Unrolled) hex =
+let mk_record ?(arch = Config.SKL) ?(mode = `Unrolled) hex =
   let cfg = Config.by_arch arch in
   let b = block_of_hex cfg hex in
-  let n = match notion with `Loop -> Model.L | `Unrolled -> Model.U in
   { Codec.arch;
-    notion;
-    form_sig = Block.form_sig b;
+    mode;
     bytes = b.Block.bytes;
-    pred = Model.predict ~notion:n b }
+    pred = Model.predict ~notion:(Engine.notion_of_mode mode) b }
 
 let records_for_suite () =
   [ mk_record "4801d8";                           (* add rax,rbx *)
-    mk_record ~arch:Config.HSW ~notion:`Loop "4829d8";
-    mk_record ~arch:Config.TGL "48c7c02a000000"; (* mov rax,42 *)
-    mk_record ~arch:Config.ICL ~notion:`Loop "90" ]
+    mk_record ~arch:Config.HSW ~mode:`Loop "4829d8";
+    mk_record ~arch:Config.TGL ~mode:`Auto "48c7c02a000000"; (* mov rax,42 *)
+    mk_record ~arch:Config.ICL ~mode:`Loop "90" ]
 
 let record_equal (a : Codec.record) (b : Codec.record) =
-  a.Codec.arch = b.Codec.arch && a.Codec.notion = b.Codec.notion
-  && a.Codec.form_sig = b.Codec.form_sig
+  a.Codec.arch = b.Codec.arch && a.Codec.mode = b.Codec.mode
   && String.equal a.Codec.bytes b.Codec.bytes
   && Codec.pred_equal a.Codec.pred b.Codec.pred
 
@@ -338,6 +335,33 @@ let recovery_tests =
           Alcotest.(check int64) "stored fp visible" fp
             r.Store.stored_fingerprint
         | Error e' -> Alcotest.failf "blind load: %s" (Err.to_string e'));
+    Alcotest.test_case "a version-1 segment is refused as skew" `Quick
+      (fun () ->
+        with_temp @@ fun path ->
+        (* the version-1 layout: header version 1, and records keyed on
+           the resolved notion plus an i64 form signature *)
+        let header =
+          let b = Bytes.of_string (Segment.encode_header
+                                     ~fingerprint:(Store.fingerprint ())) in
+          Bytes.set_int32_le b 8 1l;
+          Bytes.set_int32_le b 20
+            (Int32.of_int (Crc32.string (Bytes.sub_string b 0 20)));
+          Bytes.to_string b
+        in
+        let v2 = Codec.encode (mk_record "90") in
+        let v1 =
+          String.sub v2 0 2 ^ String.make 8 '\x2a'
+          ^ String.sub v2 2 (String.length v2 - 2)
+        in
+        write_file path (header ^ Segment.encode_frame v1);
+        let e = check_load_err path in
+        Alcotest.(check bool) "Store_skew" true (e.Err.kind = Err.Store_skew);
+        Alcotest.(check int) "exit code" 12 (Err.exit_code e.Err.kind);
+        match Store.open_rw path with
+        | Ok (w, _) -> Store.close w; Alcotest.fail "open_rw accepted version 1"
+        | Error e' ->
+          Alcotest.(check bool) "writer refuses" true
+            (e'.Err.kind = Err.Store_skew));
     Alcotest.test_case "corrupt header is refused as Check_failed" `Quick
       (fun () ->
         with_temp @@ fun path ->

@@ -294,6 +294,71 @@ let qcheck_decode_no_crash =
    re-encodes to the digits we fed in, or a typed Bad_hex error whose
    position indexes the first offending character of the original
    input. *)
+(* The two-pass [Hex.decode] (digit buffer, then pairs) that the
+   single-pass one replaced, kept as the oracle. *)
+let hex_decode_two_pass s : (string, Err.t) result =
+  let digit_value c =
+    match c with
+    | '0' .. '9' -> Some (Char.code c - Char.code '0')
+    | 'a' .. 'f' -> Some (Char.code c - Char.code 'a' + 10)
+    | 'A' .. 'F' -> Some (Char.code c - Char.code 'A' + 10)
+    | _ -> None
+  in
+  let digits = Buffer.create (String.length s) in
+  let bad = ref None in
+  String.iteri
+    (fun i c ->
+      if !bad = None then
+        match c with
+        | ' ' | '\n' | '\t' | '\r' -> ()
+        | c ->
+          (match digit_value c with
+           | Some _ -> Buffer.add_char digits c
+           | None ->
+             bad :=
+               Some
+                 (Err.v ~pos:i Err.Bad_hex
+                    (Printf.sprintf "invalid hex character %C" c))))
+    s;
+  match !bad with
+  | Some e -> Error e
+  | None ->
+    let clean = Buffer.contents digits in
+    let n = String.length clean in
+    if n mod 2 <> 0 then
+      Error
+        (Err.v Err.Bad_hex
+           (Printf.sprintf
+              "hex input must have an even number of digits, got %d" n))
+    else
+      Ok
+        (String.init (n / 2) (fun i ->
+             let hi = Option.get (digit_value clean.[2 * i]) in
+             let lo = Option.get (digit_value clean.[(2 * i) + 1]) in
+             Char.chr ((hi lsl 4) lor lo)))
+
+let qcheck_hex_oracle =
+  let gen =
+    QCheck.Gen.(
+      let ch =
+        frequency
+          [ 12, oneofl (List.init 22 (String.get "0123456789abcdefABCDEF"));
+            3, oneofl [ ' '; '\n'; '\t'; '\r' ];
+            1, char ]
+      in
+      string_size ~gen:ch (0 -- 64))
+  in
+  QCheck.Test.make ~count:5000
+    ~name:"Hex.decode equals the two-pass decoder"
+    (QCheck.make gen ~print:(Printf.sprintf "%S"))
+    (fun s ->
+      match Hex.decode s, hex_decode_two_pass s with
+      | Ok a, Ok b -> String.equal a b
+      | Error a, Error b ->
+        a.Err.kind = b.Err.kind && a.Err.pos = b.Err.pos
+        && String.equal a.Err.msg b.Err.msg
+      | _ -> false)
+
 let qcheck_hex_roundtrip =
   QCheck.Test.make ~count:2000
     ~name:"Hex.decode round-trips or errors at the right position"
@@ -365,7 +430,8 @@ let suite =
     "x86.robustness",
     [ decoder_fuzz; decoder_mutation;
       QCheck_alcotest.to_alcotest qcheck_decode_no_crash;
-      QCheck_alcotest.to_alcotest qcheck_hex_roundtrip; asm_errors ];
+      QCheck_alcotest.to_alcotest qcheck_hex_roundtrip;
+      QCheck_alcotest.to_alcotest qcheck_hex_oracle; asm_errors ];
     "x86.layout", layout_tests;
     "x86.roundtrip", block_roundtrip :: roundtrip_tests;
     "x86.asm", [ asm_roundtrip; register_names ];
