@@ -244,8 +244,8 @@ let table3 () =
               let s = samples cfg mode in
               let predict b =
                 match mode with
-                | U -> (Model.predict_u ~variant b).Model.cycles
-                | L -> (Model.predict_l ~variant b).Model.cycles
+                | U -> (Model.predict ~notion:Model.U ~variant b).Model.cycles
+                | L -> (Model.predict ~notion:Model.L ~variant b).Model.cycles
               in
               let mape, tau =
                 accuracy
@@ -282,13 +282,15 @@ let table4 () =
         let sum f =
           List.fold_left ( +. ) 0.0 (Engine.map_list (Lazy.force engine) f s)
         in
-        let base = sum (fun x -> (Model.predict_u x.block).Model.cycles) in
+        let base =
+          sum (fun x -> (Model.predict ~notion:Model.U x.block).Model.cycles)
+        in
         cfg.Config.abbrev
         :: List.map
              (fun (c, _) ->
                let ideal =
                  sum (fun x ->
-                     (Model.predict_u
+                     (Model.predict ~notion:Model.U
                         ~variant:{ Model.default with Model.idealized = [ c ] }
                         x.block)
                        .Model.cycles)
@@ -319,7 +321,7 @@ let fig3 () =
     Printf.printf "\nFigure 3 (%s, Rocket Lake, BHive_L):\n%s" name
       (Report.Heatmap.render ~max_value:10.0 ~bins:40 pairs)
   in
-  plot "FACILE" (fun b -> (Model.predict_l b).Model.cycles);
+  plot "FACILE" (fun b -> (Model.predict ~notion:Model.L b).Model.cycles);
   plot "uiCA-like" Sim.uica_like
 
 (* ------------------------------------------------------------------ *)
@@ -651,8 +653,8 @@ let notion () =
             (fun (c : Suite.case) ->
               let bu = Block.of_instructions cfg c.Suite.body in
               let bl = Block.of_instructions cfg c.Suite.loop in
-              let u = (Model.predict_u bu).Model.cycles in
-              let l = (Model.predict_l bl).Model.cycles in
+              let u = (Model.predict ~notion:Model.U bu).Model.cycles in
+              let l = (Model.predict ~notion:Model.L bl).Model.cycles in
               if u > 0.0 && l > 0.0 then Some (u, l) else None)
             (Lazy.force corpus)
           |> List.filter_map Fun.id
@@ -712,7 +714,10 @@ let obs_bench () =
       blocks
   in
   let n = List.length requests in
-  let serve = Serve.create ~workers:1 () in
+  let serve =
+    Serve.of_config
+      { Serve.default_config with Serve.workers = Some 1 }
+  in
   let t0 = Unix.gettimeofday () in
   List.iter (fun line -> ignore (Serve.handle_line serve line)) requests;
   let dt_serve = Unix.gettimeofday () -. t0 in

@@ -163,26 +163,13 @@ let max_input_arg =
   in
   Arg.(value & opt int 0 & info [ "max-input-bytes" ] ~docv:"BYTES" ~doc)
 
-(* Canonical resource options, shared by predict/batch/serve.  The
-   pre-TCP spellings stay accepted as hidden aliases so existing
-   scripts keep working; they are merged canonical-wins. *)
-let deprecated_docs = "DEPRECATED ALIASES"
-
+(* Resource options, shared by batch and serve. *)
 let workers_arg =
   let doc =
     "Worker domains (default: the number of cores the runtime \
      recommends). 1 forces sequential prediction."
   in
   Arg.(value & opt (some int) None & info [ "workers" ] ~docv:"N" ~doc)
-
-let jobs_alias_arg =
-  let doc = "Deprecated alias for $(b,--workers)." in
-  Arg.(value
-       & opt (some int) None
-       & info [ "j"; "jobs" ] ~docv:"N" ~doc ~docs:deprecated_docs)
-
-let merge_workers workers jobs =
-  match workers with Some _ -> workers | None -> jobs
 
 let cache_cap_arg =
   let doc = "Memoization cache capacity in entries (bounded LRU)." in
@@ -355,13 +342,12 @@ let store_arg =
   Arg.(value & opt (some string) None & info [ "store" ] ~docv:"PATH" ~doc)
 
 let batch_cmd =
-  let run arch mode workers jobs no_memo cache_cap cache_shards store quiet
-      json file =
-    let jobs = merge_workers workers jobs in
+  let run arch mode workers no_memo cache_cap cache_shards store quiet json
+      file =
     run_command arch (fun cfg ->
         (* flag validation first: a bad flag must fail the same way on
            an empty stdin as on a full corpus *)
-        require_opt_at_least ~flag:"--workers" 1 jobs;
+        require_opt_at_least ~flag:"--workers" 1 workers;
         require_at_least ~flag:"--cache-cap" 1 cache_cap;
         require_opt_at_least ~flag:"--cache-shards" 1 cache_shards;
         if store <> None && no_memo then
@@ -434,7 +420,7 @@ let batch_cmd =
         in
         let blocks = List.map (fun (_, b, _) -> b) cases in
         let pool =
-          Facile_engine.Engine.create ?workers:jobs ~memoize:(not no_memo)
+          Facile_engine.Engine.create ?workers ~memoize:(not no_memo)
             ~cache_cap ?cache_shards ()
         in
         (* warm restart: replay the store into the memo cache (file
@@ -543,17 +529,16 @@ let batch_cmd =
          "Predict many blocks in parallel (one hex-encoded block per \
           line, optionally ',<measured cycles>' for aggregate error \
           metrics).")
-    Term.(const run $ arch_arg $ mode_arg $ workers_arg $ jobs_alias_arg
-          $ no_memo_arg $ cache_cap_arg $ cache_shards_arg $ store_arg
-          $ quiet_arg $ json_arg $ file_arg)
+    Term.(const run $ arch_arg $ mode_arg $ workers_arg $ no_memo_arg
+          $ cache_cap_arg $ cache_shards_arg $ store_arg $ quiet_arg
+          $ json_arg $ file_arg)
 
 (* ----- serve: long-running NDJSON prediction service ----- *)
 
 let serve_cmd =
-  let run workers jobs no_memo deadline_ms no_deadline queue_cap cache_cap
+  let run workers no_memo deadline_ms no_deadline queue_cap cache_cap
       cache_shards store store_flush max_input_bytes max_insts tcp max_conns
       conn_rate =
-    let workers = merge_workers workers jobs in
     require_opt_at_least ~flag:"--workers" 1 workers;
     require_at_least ~flag:"--deadline-ms" 0 deadline_ms;
     require_at_least ~flag:"--queue" 1 queue_cap;
@@ -808,15 +793,15 @@ let serve_cmd =
        ~doc:
          "Serve predictions over a fault-tolerant NDJSON loop (stdio \
           or multi-client TCP).")
-    Term.(const (fun w j nm dl nodl q cc cs st sf mib mi tcp mc cr ->
-             match run w j nm dl nodl q cc cs st sf mib mi tcp mc cr with
+    Term.(const (fun w nm dl nodl q cc cs st sf mib mi tcp mc cr ->
+             match run w nm dl nodl q cc cs st sf mib mi tcp mc cr with
              | code -> code
              | exception Failure m ->
                prerr_endline ("error: " ^ m); 1
              | exception Err.Error e ->
                prerr_endline ("error: " ^ Err.to_string e);
                Err.exit_code e.Err.kind)
-          $ workers_arg $ jobs_alias_arg $ no_memo_arg $ deadline_arg
+          $ workers_arg $ no_memo_arg $ deadline_arg
           $ no_deadline_arg $ queue_arg $ cache_cap_arg $ cache_shards_arg
           $ store_arg $ store_flush_arg $ serve_max_input_arg $ max_insts_arg
           $ tcp_arg $ max_conns_arg $ conn_rate_arg)

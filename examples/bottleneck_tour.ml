@@ -69,8 +69,8 @@ let () =
       let block = Block.of_instructions cfg insts in
       let p =
         match mode with
-        | `Loop -> Model.predict_l block
-        | `Unrolled -> Model.predict_u block
+        | `Loop -> Model.predict ~notion:Model.L block
+        | `Unrolled -> Model.predict ~notion:Model.U block
       in
       Printf.printf "== %s ==\n" title;
       Printf.printf "   prediction: %.2f cycles/iteration; bottleneck: %s\n"

@@ -212,11 +212,6 @@ let predict_reference ?(variant = default) ?(notion = Auto) b =
 
 (* ------------------------------------------------------------------ *)
 
-(* Deprecated spellings, kept as thin wrappers so existing callers and
-   published snippets keep compiling; prefer [predict ~notion]. *)
-let predict_u ?(variant = default) b = predict ~variant ~notion:U b
-let predict_l ?(variant = default) b = predict ~variant ~notion:L b
-
 let bottleneck ?(variant = default) b =
   let p = predict ~variant b in
   match p.bottlenecks with

@@ -54,14 +54,6 @@ val predict : ?variant:variant -> ?notion:notion -> Block.t -> prediction
 val predict_reference :
   ?variant:variant -> ?notion:notion -> Block.t -> prediction
 
-(** [predict_u b] is [predict ~notion:U b].
-    @deprecated use [predict ~notion:U]. *)
-val predict_u : ?variant:variant -> Block.t -> prediction
-
-(** [predict_l b] is [predict ~notion:L b].
-    @deprecated use [predict ~notion:L]. *)
-val predict_l : ?variant:variant -> Block.t -> prediction
-
 (** [bottleneck b] — the single bottleneck under the paper's
     front-end-first tie-breaking (used for the Figure 6 Sankey). *)
 val bottleneck : ?variant:variant -> Block.t -> component

@@ -105,12 +105,10 @@ let build (b : Block.t) =
   let g = Digraph.create ~n:!counter in
   List.iter (fun (src, dst, weight, count) ->
       Digraph.add_edge g ~src ~dst ~weight ~count)
-    !edges;
+    (List.rev !edges);
   let label_arr = Array.make (max !counter 1) "?" in
   List.iter (fun (id, s) -> label_arr.(id) <- s) !labels;
   (g, fun id -> if id >= 0 && id < Array.length label_arr then label_arr.(id) else "?")
-
-let graph = build
 
 let span = Facile_obs.Obs.histogram "model.precedence"
 
@@ -122,10 +120,8 @@ let span = Facile_obs.Obs.histogram "model.precedence"
    resolved through a flat arena table; [res_code] is injective on
    resources (Flags, every width x GPR, every XMM/YMM register), so the
    node table is exactly the reference hashtable. Nodes are discovered
-   and edges pushed in the reference order, and the push buffer is
-   reversed before the Howard run because the reference build adds its
-   accumulated edge list in reverse push order — [Cycle_ratio.howard_flat]
-   therefore sees bit-identical input and returns bit-identical floats.
+   and edges pushed in the reference order, so [Cycle_ratio.howard_flat]
+   sees the same graph as on the reference path.
 
    Latency is read from [b.logicals] (not from [Block.flat]) on purpose:
    ablation baselines perturb latencies via [{ b with logicals }]. *)
@@ -304,37 +300,15 @@ let throughput b =
         end
       done
     done;
-    (* the reference build adds its accumulated list in reverse push
-       order; mirror that so the Howard run sees identical input *)
-    let mm = !m in
-    let src = a.Arena.prec_src
-    and dst = a.Arena.prec_dst
-    and w = a.Arena.prec_w
-    and cnt = a.Arena.prec_cnt in
-    for k = 0 to (mm / 2) - 1 do
-      let k' = mm - 1 - k in
-      let t = src.(k) in
-      src.(k) <- src.(k');
-      src.(k') <- t;
-      let t = dst.(k) in
-      dst.(k) <- dst.(k');
-      dst.(k') <- t;
-      let t = w.(k) in
-      w.(k) <- w.(k');
-      w.(k') <- t;
-      let t = cnt.(k) in
-      cnt.(k) <- cnt.(k');
-      cnt.(k') <- t
-    done;
     match
-      Cycle_ratio.howard_flat ~n:!counter ~m:mm ~src ~dst ~weight:w
-        ~count:cnt
+      Cycle_ratio.howard_flat ~n:!counter ~m:!m ~src:a.Arena.prec_src
+        ~dst:a.Arena.prec_dst ~weight:a.Arena.prec_w ~count:a.Arena.prec_cnt
     with
     | Some r when r > 0.0 -> r
     | _ -> 0.0
   end
 
-(* Reference path: labeled hashtable build + list-based Howard. *)
+(* Reference path: labeled hashtable build into a [Digraph]. *)
 let throughput_ref b =
   Facile_obs.Obs.timed span @@ fun () ->
   let g, _ = build b in

@@ -12,16 +12,11 @@ open Facile_x86
     dependence chains (0 when the block has none). *)
 val throughput : Block.t -> float
 
-(** Reference (pre-flattening) implementation: labeled hashtable graph
-    build + list-based Howard. Identical results to {!throughput}
-    (property-tested); kept for differential tests and the perf
-    bench. *)
+(** Reference (pre-flattening) graph build: labeled hashtable nodes
+    and a {!Facile_graph.Digraph.t}, solved by the same Howard as
+    {!throughput}. Identical results (property-tested); kept for
+    differential tests and the perf bench. *)
 val throughput_ref : Block.t -> float
-
-(** The dependence graph itself, for tests and for interpretable
-    critical-chain extraction. Node [2*i + 0] / [2*i + 1] don't have a
-    fixed meaning; use {!node_label} to render them. *)
-val graph : Block.t -> Facile_graph.Digraph.t * (int -> string)
 
 (** [critical_chain b] describes the dependency cycle that limits
     throughput, as a list of human-readable node labels, when the

@@ -141,16 +141,16 @@ type t = {
 
 let of_config (c : config) =
   if c.queue_cap < 1 then
-    invalid_arg (Printf.sprintf "Serve.create: queue_cap = %d" c.queue_cap);
+    invalid_arg (Printf.sprintf "Serve.of_config: queue_cap = %d" c.queue_cap);
   if c.retry_after_ms < 0 then
     invalid_arg
-      (Printf.sprintf "Serve.create: retry_after_ms = %d" c.retry_after_ms);
+      (Printf.sprintf "Serve.of_config: retry_after_ms = %d" c.retry_after_ms);
   if c.limits.max_line_bytes < 1 || c.limits.max_input_bytes < 1
      || c.limits.max_insts < 1
-  then invalid_arg "Serve.create: limits must be positive";
+  then invalid_arg "Serve.of_config: limits must be positive";
   (match c.flush_every with
    | Some n when n < 1 ->
-     invalid_arg (Printf.sprintf "Serve.create: flush_every = %d" n)
+     invalid_arg (Printf.sprintf "Serve.of_config: flush_every = %d" n)
    | _ -> ());
   { engine =
       Engine.create ?workers:c.workers ~memoize:c.memoize
@@ -159,7 +159,7 @@ let of_config (c : config) =
     limits = c.limits;
     deadline_ns =
       Option.map (fun ms ->
-          if ms < 0 then invalid_arg "Serve.create: deadline_ms < 0"
+          if ms < 0 then invalid_arg "Serve.of_config: deadline_ms < 0"
           else ms * 1_000_000)
         c.deadline_ms;
     queue_cap = c.queue_cap;
@@ -189,19 +189,6 @@ let of_config (c : config) =
     since_flush = 0;
     flushes = 0;
     persist_errors = 0 }
-
-(* Deprecated spelling of {!of_config}, kept for embedders. *)
-let create ?workers ?memoize ?cache_cap ?deadline_ms ?(queue_cap = 128)
-    ?(limits = default_limits) ?(supervisor = Supervise.default_config) () =
-  of_config
-    { default_config with
-      workers;
-      memoize = Option.value memoize ~default:true;
-      cache_cap;
-      deadline_ms;
-      queue_cap;
-      limits;
-      supervisor }
 
 let engine t = t.engine
 

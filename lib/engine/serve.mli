@@ -91,19 +91,6 @@ type t
     a negative [retry_after_ms]/[deadline_ms]. *)
 val of_config : config -> t
 
-(** Deprecated spelling of {!of_config} taking the fields as optional
-    arguments; kept for embedders of the pre-TCP API. *)
-val create :
-  ?workers:int ->
-  ?memoize:bool ->
-  ?cache_cap:int ->
-  ?deadline_ms:int ->
-  ?queue_cap:int ->
-  ?limits:limits ->
-  ?supervisor:Supervise.config ->
-  unit ->
-  t
-
 (** The engine pool behind this service (the CLI uses it to warm the
     memo cache from a persistent store and to dump it back). *)
 val engine : t -> Engine.t

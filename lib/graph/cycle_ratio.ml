@@ -1,9 +1,5 @@
 let eps = 1e-9
 
-(* A very negative finite sentinel used instead of [neg_infinity] so
-   that [r * count] never produces NaN for count = 0. *)
-let minus_huge = -1e30
-
 (* ------------------------------------------------------------------ *)
 (* Lawler's parametric search with positive-cycle detection.           *)
 
@@ -49,209 +45,23 @@ let lawler ?(epsilon = 1e-9) g =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Howard's policy iteration for the maximum cycle ratio.              *)
+(* Howard's policy iteration for the maximum cycle ratio, on raw edge
+   arrays.
 
-let howard g =
-  let n = Digraph.n_nodes g in
-  if n = 0 then None
-  else begin
-    (* Trim to the cyclic core: repeatedly drop nodes with no outgoing
-       edge into the remaining set. Every surviving policy path then
-       necessarily reaches a cycle, so node ratios stay finite and the
-       improvement step cannot get stuck behind a sink. *)
-    let alive = Array.make n true in
-    let changed = ref true in
-    while !changed do
-      changed := false;
-      for u = 0 to n - 1 do
-        if alive.(u) then begin
-          let has_out =
-            List.exists
-              (fun e -> alive.(e.Digraph.dst))
-              (Digraph.out_edges g u)
-          in
-          if not has_out then begin
-            alive.(u) <- false;
-            changed := true
-          end
-        end
-      done
-    done;
-    let out =
-      Array.init n (fun u ->
-          if not alive.(u) then [||]
-          else
-            Array.of_list
-              (List.filter
-                 (fun e -> alive.(e.Digraph.dst))
-                 (Digraph.out_edges g u)))
-    in
-    let policy =
-      Array.init n (fun u -> if Array.length out.(u) = 0 then None else Some out.(u).(0))
-    in
-    let r = Array.make n minus_huge in
-    let d = Array.make n 0.0 in
-    (* Evaluate the current policy: every node following its policy edge
-       either reaches a cycle (giving it that cycle's ratio) or a sink
-       (ratio stays [minus_huge]). *)
-    let evaluate () =
-      let state = Array.make n 0 in
-      (* 0 = white, 1 = on current path, 2 = done *)
-      Array.fill r 0 n minus_huge;
-      Array.fill d 0 n 0.0;
-      for s = 0 to n - 1 do
-        if state.(s) = 0 then begin
-          (* follow the policy, recording the path *)
-          let path = ref [] in
-          let u = ref s in
-          let stop = ref false in
-          while not !stop do
-            state.(!u) <- 1;
-            path := !u :: !path;
-            match policy.(!u) with
-            | None ->
-              (* sink: ratio minus_huge *)
-              state.(!u) <- 2;
-              stop := true
-            | Some e ->
-              if state.(e.Digraph.dst) = 1 then begin
-                (* found a new cycle: e.dst .. !u *)
-                let rec cycle_nodes acc = function
-                  | [] -> assert false
-                  | v :: rest ->
-                    if v = e.Digraph.dst then v :: acc
-                    else cycle_nodes (v :: acc) rest
-                in
-                let cyc = cycle_nodes [] !path in
-                let sum_w = ref 0.0 and sum_t = ref 0 in
-                List.iter
-                  (fun v ->
-                    match policy.(v) with
-                    | Some pe ->
-                      sum_w := !sum_w +. pe.Digraph.weight;
-                      sum_t := !sum_t + pe.Digraph.count
-                    | None -> assert false)
-                  cyc;
-                let rc =
-                  if !sum_t = 0 then
-                    if !sum_w > eps then
-                      failwith "Cycle_ratio.howard: cycle with zero count"
-                    else minus_huge
-                  else !sum_w /. float_of_int !sum_t
-                in
-                (* set d around the cycle: root = e.dst with d = 0, then
-                   in reverse cycle order *)
-                List.iter (fun v -> r.(v) <- rc; state.(v) <- 2) cyc;
-                d.(e.Digraph.dst) <- 0.0;
-                let rev = List.rev cyc in
-                (* rev = [ u_k; ...; u_1; root ], where policy u_k = root *)
-                List.iter
-                  (fun v ->
-                    if v <> e.Digraph.dst then
-                      match policy.(v) with
-                      | Some pe ->
-                        d.(v) <-
-                          pe.Digraph.weight
-                          -. (rc *. float_of_int pe.Digraph.count)
-                          +. d.(pe.Digraph.dst)
-                      | None -> assert false)
-                  rev;
-                stop := true
-              end
-              else if state.(e.Digraph.dst) = 2 then begin
-                state.(!u) <- 2;
-                stop := true
-              end
-              else u := e.Digraph.dst
-          done;
-          (* unwind the path: propagate from each node's successor *)
-          List.iter
-            (fun v ->
-              if state.(v) = 1 || (state.(v) = 2 && r.(v) = minus_huge) then begin
-                (match policy.(v) with
-                 | None -> r.(v) <- minus_huge; d.(v) <- 0.0
-                 | Some pe ->
-                   let w = pe.Digraph.dst in
-                   if r.(w) <= minus_huge /. 2.0 then begin
-                     r.(v) <- minus_huge; d.(v) <- 0.0
-                   end
-                   else begin
-                     r.(v) <- r.(w);
-                     d.(v) <-
-                       pe.Digraph.weight
-                       -. (r.(w) *. float_of_int pe.Digraph.count)
-                       +. d.(w)
-                   end);
-                state.(v) <- 2
-              end)
-            !path
-        end
-      done
-    in
-    (* Improve: for each node pick the out-edge with the
-       lexicographically best (successor ratio, reduced value). The
-       current policy edge is scored with the same formula, so a switch
-       happens only on a strict improvement. *)
-    let improve () =
-      let improved = ref false in
-      for u = 0 to n - 1 do
-        match policy.(u) with
-        | None -> ()
-        | Some cur ->
-          let score e =
-            let v = e.Digraph.dst in
-            ( r.(v),
-              e.Digraph.weight
-              -. (r.(v) *. float_of_int e.Digraph.count)
-              +. d.(v) )
-          in
-          let better (r1, v1) (r2, v2) =
-            r1 > r2 +. eps
-            || (abs_float (r1 -. r2) <= eps && v1 > v2 +. 1e-6)
-          in
-          let best = ref cur and best_score = ref (score cur) in
-          Array.iter
-            (fun e ->
-              let s = score e in
-              if better s !best_score then begin
-                best := e;
-                best_score := s
-              end)
-            out.(u);
-          if !best != cur then begin
-            policy.(u) <- Some !best;
-            improved := true
-          end
-      done;
-      !improved
-    in
-    let guard = ref ((n * Digraph.n_edges g) + 64) in
-    evaluate ();
-    while improve () && !guard > 0 do
-      decr guard;
-      evaluate ()
-    done;
-    if !guard <= 0 then
-      (* extremely defensive: fall back to the parametric search *)
-      lawler g
-    else begin
-      let best = Array.fold_left max minus_huge r in
-      if best <= minus_huge /. 2.0 then None else Some best
-    end
-  end
+   The caller supplies the graph as parallel arrays (edges in insertion
+   order) and all working storage lives in a domain-local scratch that
+   only grows, so the Precedence hot path runs allocation-free.
 
-(* ------------------------------------------------------------------ *)
-(* Howard's algorithm on raw edge arrays.
-
-   [howard_flat] is the allocation-free spelling used by the Precedence
-   hot path: the caller supplies the graph as parallel arrays (edges in
-   insertion order, exactly as [Digraph.add_edge] would have received
-   them) and all working storage lives in a domain-local scratch that
-   only grows. The control flow and, crucially, every iteration order
-   (out-edges in insertion order, path unwinding from the top of the
-   stack, cycle summation from the cycle root forward) mirror [howard]
-   above, so the two return bit-identical floats on the same graph —
-   property-tested in test/test_graph.ml. *)
+   A policy picks one out-edge per node of the cyclic core, so
+   following it from any node ends on a policy cycle. Evaluation gives
+   every node the ratio [r] of the cycle it reaches and a value [d]
+   (the reduced weight [w - r * t] summed along the policy path, zero
+   at the cycle's smallest node: a canonical root, so a cycle that
+   survives an improvement keeps its values and ties between cycles of
+   equal ratio cannot flip-flop). Improvement switches a node to a
+   successor with a strictly better (ratio, value). A cycle of count 0
+   and weight 0 has no ratio; it gets [bottom], below every real cycle
+   ratio but finite, so values through it stay exact. *)
 
 type scratch = {
   mutable s_alive : bool array;
@@ -260,7 +70,7 @@ type scratch = {
   mutable s_off : int array;  (* alive-filtered CSR offsets (n+1) *)
   mutable s_adj : int array;
   mutable s_cur : int array;  (* CSR fill cursors *)
-  mutable s_policy : int array;  (* edge id, or -1 for sinks *)
+  mutable s_policy : int array;  (* edge id, or -1 off the cyclic core *)
   mutable s_r : float array;
   mutable s_d : float array;
   mutable s_state : int array;
@@ -275,7 +85,7 @@ let scratch_key =
       { s_alive = [||]; s_off0 = [||]; s_adj0 = [||]; s_off = [||];
         s_adj = [||]; s_cur = [||]; s_policy = [||]; s_r = [||];
         s_d = [||]; s_state = [||]; s_stack = [||];
-        s_tmp = Array.make 4 0.0 })
+        s_tmp = Array.make 5 0.0 })
 
 let cap n =
   let c = ref 16 in
@@ -316,7 +126,8 @@ let howard_flat ~n ~m ~src ~dst ~weight ~count =
       adj0.(cur.(u)) <- k;
       cur.(u) <- cur.(u) + 1
     done;
-    (* Trim to the cyclic core (same fixpoint as [howard]). *)
+    (* Trim to the cyclic core: repeatedly drop nodes with no out-edge
+       into the remaining set, so every policy path ends on a cycle. *)
     let alive = grow_b s.s_alive n in
     s.s_alive <- alive;
     Array.fill alive 0 n true;
@@ -362,105 +173,90 @@ let howard_flat ~n ~m ~src ~dst ~weight ~count =
     for u = 0 to n - 1 do
       policy.(u) <- (if off.(u + 1) > off.(u) then adj.(off.(u)) else -1)
     done;
+    (* tmp.(4) = [bottom]: a cycle with a positive count has a ratio of
+       at least minus the sum of absolute weights *)
+    let tmp = s.s_tmp in
+    tmp.(4) <- -1.0;
+    for k = 0 to m - 1 do
+      tmp.(4) <- tmp.(4) -. abs_float weight.(k)
+    done;
+    (* Nodes off the cyclic core keep ratio [bottom] throughout (a loop,
+       since [Array.fill] would box the float). *)
     let r = grow_f s.s_r n in
     s.s_r <- r;
+    for u = 0 to n - 1 do
+      r.(u) <- tmp.(4)
+    done;
     let d = grow_f s.s_d n in
     s.s_d <- d;
+    Array.fill d 0 n 0.0;
     let state = grow_i s.s_state n in
     s.s_state <- state;
     let stack = grow_i s.s_stack n in
     s.s_stack <- stack;
-    let tmp = s.s_tmp in
     let evaluate () =
+      (* 0 = unvisited, 1 = on the current path, 2 = evaluated *)
       Array.fill state 0 n 0;
-      (* 0 = white, 1 = on current path, 2 = done *)
-      Array.fill r 0 n minus_huge;
-      Array.fill d 0 n 0.0;
       for s0 = 0 to n - 1 do
-        if state.(s0) = 0 then begin
-          let sp = ref 0 in
-          let u = ref s0 in
-          let stop = ref false in
-          while not !stop do
+        if state.(s0) = 0 && policy.(s0) >= 0 then begin
+          (* follow the policy until it closes a new cycle or meets an
+             evaluated node *)
+          let sp = ref 0 and u = ref s0 in
+          while !u >= 0 do
             state.(!u) <- 1;
             stack.(!sp) <- !u;
             incr sp;
-            let pe = policy.(!u) in
-            if pe < 0 then begin
-              (* sink: ratio minus_huge *)
-              state.(!u) <- 2;
-              stop := true
-            end
+            let v = dst.(policy.(!u)) in
+            if state.(v) = 0 then u := v
             else begin
-              let v = dst.(pe) in
               if state.(v) = 1 then begin
-                (* found a new cycle: v .. !u on top of the stack *)
-                let root = ref (!sp - 1) in
-                while stack.(!root) <> v do
-                  decr root
+                (* new policy cycle [stack.(j0 .. sp-1)]: each node's
+                   successor is the next entry, the last one's the
+                   first; [jc] indexes its smallest node, the root *)
+                let j0 = ref (!sp - 1) in
+                while stack.(!j0) <> v do
+                  decr j0
                 done;
+                let j0 = !j0 and len = !sp - !j0 in
                 tmp.(0) <- 0.0;
-                let sum_t = ref 0 in
-                for j = !root to !sp - 1 do
+                let sum_t = ref 0 and jc = ref j0 in
+                for j = j0 to !sp - 1 do
                   let p = policy.(stack.(j)) in
                   tmp.(0) <- tmp.(0) +. weight.(p);
-                  sum_t := !sum_t + count.(p)
+                  sum_t := !sum_t + count.(p);
+                  if stack.(j) < stack.(!jc) then jc := j
                 done;
                 let rc =
-                  if !sum_t = 0 then
-                    if tmp.(0) > eps then
-                      failwith "Cycle_ratio.howard: cycle with zero count"
-                    else minus_huge
-                  else tmp.(0) /. float_of_int !sum_t
+                  if !sum_t > 0 then tmp.(0) /. float_of_int !sum_t
+                  else if tmp.(0) > eps then
+                    failwith "Cycle_ratio.howard: cycle with zero count"
+                  else tmp.(4)
                 in
-                for j = !root to !sp - 1 do
+                for j = j0 to !sp - 1 do
                   r.(stack.(j)) <- rc;
                   state.(stack.(j)) <- 2
                 done;
-                d.(v) <- 0.0;
-                for j = !sp - 1 downto !root do
-                  let x = stack.(j) in
-                  if x <> v then begin
-                    let p = policy.(x) in
-                    d.(x) <-
-                      weight.(p)
-                      -. (rc *. float_of_int count.(p))
-                      +. d.(dst.(p))
-                  end
-                done;
-                stop := true
-              end
-              else if state.(v) = 2 then begin
-                state.(!u) <- 2;
-                stop := true
-              end
-              else u := v
+                (* values backwards around the cycle from the root *)
+                d.(stack.(!jc)) <- 0.0;
+                for k = 1 to len - 1 do
+                  let j = if !jc - k >= j0 then !jc - k else !jc - k + len in
+                  let p = policy.(stack.(j)) in
+                  d.(stack.(j)) <-
+                    weight.(p) -. (rc *. float_of_int count.(p)) +. d.(dst.(p))
+                done
+              end;
+              u := -1
             end
           done;
-          (* unwind the path: propagate from each node's successor *)
+          (* unwind the path: each node from its successor *)
           for j = !sp - 1 downto 0 do
-            let v = stack.(j) in
-            if state.(v) = 1 || (state.(v) = 2 && r.(v) = minus_huge) then begin
-              let p = policy.(v) in
-              (if p < 0 then begin
-                 r.(v) <- minus_huge;
-                 d.(v) <- 0.0
-               end
-               else begin
-                 let w = dst.(p) in
-                 if r.(w) <= minus_huge /. 2.0 then begin
-                   r.(v) <- minus_huge;
-                   d.(v) <- 0.0
-                 end
-                 else begin
-                   r.(v) <- r.(w);
-                   d.(v) <-
-                     weight.(p)
-                     -. (r.(w) *. float_of_int count.(p))
-                     +. d.(w)
-                 end
-               end);
-              state.(v) <- 2
+            let x = stack.(j) in
+            if state.(x) = 1 then begin
+              let p = policy.(x) in
+              let w = dst.(p) in
+              r.(x) <- r.(w);
+              d.(x) <- weight.(p) -. (r.(w) *. float_of_int count.(p)) +. d.(w);
+              state.(x) <- 2
             end
           done
         end
@@ -509,7 +305,7 @@ let howard_flat ~n ~m ~src ~dst ~weight ~count =
     done;
     if !guard <= 0 then begin
       (* extremely defensive: fall back to the parametric search on a
-         materialized graph (never reached on dependence graphs) *)
+         materialized graph *)
       let g = Digraph.create ~n in
       for k = 0 to m - 1 do
         Digraph.add_edge g ~src:src.(k) ~dst:dst.(k) ~weight:weight.(k)
@@ -518,13 +314,21 @@ let howard_flat ~n ~m ~src ~dst ~weight ~count =
       lawler g
     end
     else begin
-      tmp.(3) <- minus_huge;
+      tmp.(3) <- tmp.(4);
       for u = 0 to n - 1 do
         if r.(u) > tmp.(3) then tmp.(3) <- r.(u)
       done;
-      if tmp.(3) <= minus_huge /. 2.0 then None else Some tmp.(3)
+      if tmp.(3) > tmp.(4) then Some tmp.(3) else None
     end
   end
+
+let howard g =
+  let es = Array.of_list (Digraph.edges g) in
+  howard_flat ~n:(Digraph.n_nodes g) ~m:(Array.length es)
+    ~src:(Array.map (fun e -> e.Digraph.src) es)
+    ~dst:(Array.map (fun e -> e.Digraph.dst) es)
+    ~weight:(Array.map (fun e -> e.Digraph.weight) es)
+    ~count:(Array.map (fun e -> e.Digraph.count) es)
 
 (* ------------------------------------------------------------------ *)
 

@@ -1,25 +1,22 @@
 (** Maximum cycle ratio: the largest value of
-    [sum of edge weights / sum of edge counts] over all directed cycles.
+    [sum of edge weights / sum of edge counts] over all directed cycles
+    with a positive total count.
 
     This is the quantity the Precedence component computes on the
     dependence graph (the recurrence-constrained minimum initiation
-    interval of modulo scheduling). Two independent algorithms are
-    provided; they agree on all inputs (property-tested) and the
-    Howard implementation is the fast one used by Facile, as in the
-    paper [16, 18]. *)
+    interval of modulo scheduling). Facile computes it with Howard's
+    policy iteration, as in the paper [16, 18]; Lawler's parametric
+    search is the independent cross-check. Cycles of count 0 and
+    weight 0 have no ratio and are ignored. *)
 
-(** [howard g] computes the maximum cycle ratio by policy iteration
-    (Howard's algorithm). Returns [None] when the graph is acyclic.
+(** [howard_flat ~n ~m ~src ~dst ~weight ~count] computes the maximum
+    cycle ratio by policy iteration (Howard's algorithm) on a graph of
+    [n] nodes given as parallel edge arrays (first [m] entries). All
+    working storage lives in a domain-local scratch that only grows,
+    so the Precedence hot path runs allocation-free. Returns [None]
+    when no cycle has a positive count.
     @raise Failure if some cycle has total count 0 but positive weight
     (an infinite ratio — dependence graphs never contain such cycles). *)
-val howard : Digraph.t -> float option
-
-(** [howard_flat ~n ~m ~src ~dst ~weight ~count] is [howard] on a graph
-    given as parallel edge arrays (first [m] entries, in the order the
-    edges would have been [add_edge]d), with all working storage in a
-    domain-local scratch that only grows — the allocation-free spelling
-    used by the Precedence hot path. Iteration orders mirror [howard]
-    exactly, so the two return identical floats on the same graph. *)
 val howard_flat :
   n:int ->
   m:int ->
@@ -28,6 +25,9 @@ val howard_flat :
   weight:float array ->
   count:int array ->
   float option
+
+(** [howard g] is {!howard_flat} on the edges of [g]. *)
+val howard : Digraph.t -> float option
 
 (** [lawler g] computes the same value by binary search over candidate
     ratios with positive-cycle detection (Bellman-Ford). Slower but

@@ -2,14 +2,12 @@ type edge = { src : int; dst : int; weight : float; count : int }
 
 type t = {
   n : int;
-  out : edge list array;
   mutable all : edge list;  (* reverse insertion order *)
-  mutable m : int;
 }
 
 let create ~n =
   if n < 0 then invalid_arg "Digraph.create";
-  { n; out = Array.make (max n 1) []; all = []; m = 0 }
+  { n; all = [] }
 
 let n_nodes g = g.n
 
@@ -17,11 +15,6 @@ let add_edge g ~src ~dst ~weight ~count =
   if src < 0 || src >= g.n || dst < 0 || dst >= g.n then
     invalid_arg "Digraph.add_edge: node out of range";
   if count < 0 then invalid_arg "Digraph.add_edge: negative count";
-  let e = { src; dst; weight; count } in
-  g.out.(src) <- e :: g.out.(src);
-  g.all <- e :: g.all;
-  g.m <- g.m + 1
+  g.all <- { src; dst; weight; count } :: g.all
 
-let out_edges g u = List.rev g.out.(u)
 let edges g = List.rev g.all
-let n_edges g = g.m

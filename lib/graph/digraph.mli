@@ -17,10 +17,5 @@ val n_nodes : t -> int
     [count < 0]. *)
 val add_edge : t -> src:int -> dst:int -> weight:float -> count:int -> unit
 
-(** Outgoing edges of a node (in insertion order). *)
-val out_edges : t -> int -> edge list
-
-(** All edges. *)
+(** All edges, in insertion order. *)
 val edges : t -> edge list
-
-val n_edges : t -> int

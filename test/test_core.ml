@@ -196,7 +196,7 @@ let fusion_tests =
 
 let model_tests =
   [ Alcotest.test_case "TP_U combination" `Quick (fun () ->
-        let p = Model.predict_u (block skl four_adds) in
+        let p = Model.predict ~notion:Model.U (block skl four_adds) in
         (* Predec 1.25 dominates Dec/Issue/Ports/Precedence (all 1.0) *)
         checkf "cycles" 1.25 p.Model.cycles;
         Alcotest.(check bool) "predec bottleneck" true
@@ -205,12 +205,12 @@ let model_tests =
         let insts = parse_block four_adds in
         let looped = Facile_bhive.Genblock.looped insts in
         let b = Block.of_instructions hsw looped in
-        let p = Model.predict_l b in
+        let p = Model.predict ~notion:Model.L b in
         Alcotest.(check bool) "fe path lsd" true (p.Model.fe_path = Model.FE_lsd));
     Alcotest.test_case "TP_L uses DSB on SKL (LSD off)" `Quick (fun () ->
         let insts = parse_block four_adds in
         let b = Block.of_instructions skl (Facile_bhive.Genblock.looped insts) in
-        let p = Model.predict_l b in
+        let p = Model.predict ~notion:Model.L b in
         (* the 5-byte loop ends well inside the first 32-byte window;
            no erratum trigger at offset 12 *)
         Alcotest.(check bool) "fe path dsb" true (p.Model.fe_path = Model.FE_dsb));
@@ -230,26 +230,26 @@ let model_tests =
         let b = Block.of_instructions skl looped in
         Alcotest.(check bool) "erratum detected" true
           (Block.jcc_erratum_affected b);
-        let p = Model.predict_l b in
+        let p = Model.predict ~notion:Model.L b in
         Alcotest.(check bool) "decoders path" true
           (p.Model.fe_path = Model.FE_decoders);
         (* same block on RKL (no erratum): front end via LSD/DSB *)
         let b2 = Block.of_instructions rkl looped in
-        let p2 = Model.predict_l b2 in
+        let p2 = Model.predict ~notion:Model.L b2 in
         Alcotest.(check bool) "no erratum on RKL" true
           (p2.Model.fe_path <> Model.FE_decoders));
     Alcotest.test_case "variants" `Quick (fun () ->
         let b = block skl four_adds in
-        let base = (Model.predict_u b).Model.cycles in
+        let base = (Model.predict ~notion:Model.U b).Model.cycles in
         let without_predec =
-          (Model.predict_u
+          (Model.predict ~notion:Model.U
              ~variant:{ Model.default with Model.without = [ Model.Predec ] }
              b).Model.cycles
         in
         Alcotest.(check bool) "removing the bottleneck lowers tp" true
           (without_predec < base);
         let only_ports =
-          (Model.predict_u
+          (Model.predict ~notion:Model.U
              ~variant:{ Model.default with Model.only = Some [ Model.Ports ] }
              b).Model.cycles
         in
@@ -263,11 +263,11 @@ let model_tests =
         List.iter
           (fun (c : Facile_bhive.Suite.case) ->
             let b = Block.of_instructions skl c.Facile_bhive.Suite.body in
-            let base = (Model.predict_u b).Model.cycles in
+            let base = (Model.predict ~notion:Model.U b).Model.cycles in
             List.iter
               (fun comp ->
                 let v =
-                  (Model.predict_u
+                  (Model.predict ~notion:Model.U
                      ~variant:{ Model.default with Model.without = [ comp ] } b)
                     .Model.cycles
                 in
@@ -275,7 +275,7 @@ let model_tests =
                   Alcotest.failf "removing %s raised tp on case %d"
                     (Model.component_name comp) c.Facile_bhive.Suite.id;
                 let ideal =
-                  (Model.predict_u
+                  (Model.predict ~notion:Model.U
                      ~variant:{ Model.default with Model.idealized = [ comp ] }
                      b).Model.cycles
                 in
@@ -312,8 +312,8 @@ let model_tests =
               (fun (c : Facile_bhive.Suite.case) ->
                 let bu = Block.of_instructions cfg c.Facile_bhive.Suite.body in
                 let bl = Block.of_instructions cfg c.Facile_bhive.Suite.loop in
-                let pu = Model.predict_u bu in
-                let pl = Model.predict_l bl in
+                let pu = Model.predict ~notion:Model.U bu in
+                let pl = Model.predict ~notion:Model.L bl in
                 if not (pu.Model.cycles > 0.0) then
                   Alcotest.failf "zero TP_U on %s case %d" cfg.Config.abbrev
                     c.Facile_bhive.Suite.id;
@@ -361,7 +361,7 @@ let invariant_tests =
                     (Dec.throughput b) (Dec.simple b) c.Facile_bhive.Suite.id
                     cfg.Config.abbrev;
                 (* the prediction equals the max over its bottlenecks *)
-                let p = Model.predict_l b in
+                let p = Model.predict ~notion:Model.L b in
                 (match p.Model.bottlenecks with
                  | [] -> Alcotest.fail "no bottleneck reported"
                  | bn :: _ ->
@@ -406,7 +406,7 @@ let invariant_tests =
               List.iter
                 (fun cfg ->
                   let b = Block.of_instructions cfg [ i ] in
-                  let p = Model.predict_u b in
+                  let p = Model.predict ~notion:Model.U b in
                   if not (p.Model.cycles > 0.0) then
                     Alcotest.failf "zero prediction for %s" (Inst.to_string i))
                 Config.all

@@ -8,11 +8,13 @@ let mk n edges =
     edges;
   g
 
+(* Every expected ratio here is exact in floating point, so Howard must
+   return it bit for bit; Lawler's bisection only gets within 1e-6. *)
 let check_ratio name g expected =
   Alcotest.test_case name `Quick (fun () ->
       (match Cycle_ratio.howard g with
        | Some r ->
-         Alcotest.(check (float 1e-6)) (name ^ " (howard)") expected r
+         Alcotest.(check (float 0.0)) (name ^ " (howard)") expected r
        | None -> Alcotest.failf "%s: howard found no cycle" name);
       match Cycle_ratio.lawler g with
       | Some r -> Alcotest.(check (float 1e-6)) (name ^ " (lawler)") expected r
@@ -37,6 +39,22 @@ let known_tests =
          [ (0, 1, 1.0, 0); (1, 2, 1.0, 0); (2, 3, 1.0, 0); (3, 4, 1.0, 0);
            (4, 0, 1.0, 1) ])
       5.0;
+    (* the self-loop on 2 and 3->4->3 tie at ratio 8; node 0 reaches
+       both, which once made policy iteration flip-flop until its
+       guard tripped *)
+    check_ratio "tied cycles"
+      (mk 7
+         [ (2, 2, 8.0, 1); (3, 4, 12.0, 2); (0, 4, 0.0, 1); (4, 3, 12.0, 1);
+           (0, 0, 0.0, 1); (0, 0, 0.0, 1); (0, 2, 1.0, 1) ])
+      8.0;
+    (* a count-0, weight-0 self-loop has no ratio and must not hide the
+       real cycles next to it *)
+    check_ratio "zero-count loop beside a cycle"
+      (mk 5 [ (4, 1, 0.0, 1); (1, 1, 0.0, 0); (4, 4, 5.0, 1) ])
+      5.0;
+    check_ratio "zero-count loop on the policy path"
+      (mk 3 [ (0, 1, 0.0, 1); (1, 1, 0.0, 0); (0, 2, 3.0, 0); (2, 0, 0.0, 1) ])
+      3.0;
     Alcotest.test_case "acyclic" `Quick (fun () ->
         let g = mk 3 [ (0, 1, 5.0, 0); (1, 2, 7.0, 1) ] in
         assert (Cycle_ratio.howard g = None);
@@ -116,45 +134,70 @@ let monotone =
       | Some _, None -> false
       | Some a, Some b -> b >= a -. 1e-9)
 
-(* The allocation-free array spelling must return bit-identical ratios
-   to the list-based howard when fed the same edges in the same
-   insertion order (the Precedence hot path depends on exactly this). *)
-let flat_agreement =
-  QCheck.Test.make ~name:"howard_flat is bit-identical to howard" ~count:500
+(* Exact oracle: the maximum ratio over every simple cycle with a
+   positive count, by enumeration (each cycle once, from its smallest
+   node). Weights are integral, so cycle sums are exact and Howard must
+   match bit for bit. The same graphs check [critical_cycle]. *)
+let brute_force n edges =
+  let best = ref neg_infinity in
+  let rec walk s u seen w t =
+    List.iter
+      (fun (a, b, ew, et) ->
+        if a <> u then ()
+        else if b = s then begin
+          if t + et > 0 then
+            best := Float.max !best ((w +. ew) /. float_of_int (t + et))
+        end
+        else if b > s && not (List.mem b seen) then
+          walk s b (b :: seen) (w +. ew) (t + et))
+      edges
+  in
+  for s = 0 to n - 1 do walk s s [ s ] 0.0 0 done;
+  if !best = neg_infinity then None else Some !best
+
+(* The ratio of [es] when it is a closed walk with a positive count. *)
+let closed_ratio = function
+  | [] -> None
+  | first :: rest as es ->
+    let closed =
+      List.for_all2
+        (fun e e' -> e.Digraph.dst = e'.Digraph.src)
+        es (rest @ [ first ])
+    in
+    let w = List.fold_left (fun a e -> a +. e.Digraph.weight) 0.0 es in
+    let t = List.fold_left (fun a e -> a + e.Digraph.count) 0 es in
+    if closed && t > 0 then Some (w /. float_of_int t) else None
+
+let oracle =
+  QCheck.Test.make ~name:"howard = max over enumerated simple cycles"
+    ~count:5000
     QCheck.(
-      list_of_size Gen.(int_range 0 25)
-        (quad (int_range 0 7) (int_range 0 7) (int_range 0 12) (int_range 1 2)))
-    (fun edges ->
+      pair (int_range 1 7)
+        (list_of_size Gen.(int_range 0 16)
+           (quad (int_range 0 6) (int_range 0 6) (int_range 0 12)
+              (int_range 0 2))))
+    (fun (n, edges) ->
+      (* clamp: QCheck shrinking can escape int_range bounds *)
       let edges =
-        List.map (fun (s, d, w, t) -> (s, d, w, max 1 (min 2 t))) edges
+        List.filter_map
+          (fun (s, d, w, t) ->
+            let t = max 0 (min 2 t) in
+            let w = if t = 0 then 0.0 else float_of_int (max 0 (min 12 w)) in
+            if s < n && d < n then Some (s, d, w, t) else None)
+          edges
       in
-      let n = 8 in
-      let g = Digraph.create ~n in
-      List.iter
-        (fun (s, d, w, t) ->
-          Digraph.add_edge g ~src:s ~dst:d ~weight:(float_of_int w) ~count:t)
-        edges;
-      let m = List.length edges in
-      let src = Array.make (max m 1) 0
-      and dst = Array.make (max m 1) 0
-      and weight = Array.make (max m 1) 0.0
-      and count = Array.make (max m 1) 0 in
-      List.iteri
-        (fun i (s, d, w, t) ->
-          src.(i) <- s;
-          dst.(i) <- d;
-          weight.(i) <- float_of_int w;
-          count.(i) <- t)
-        edges;
-      match
-        ( Cycle_ratio.howard g,
-          Cycle_ratio.howard_flat ~n ~m ~src ~dst ~weight ~count )
-      with
+      let g = mk n edges in
+      match Cycle_ratio.howard g, brute_force n edges with
       | None, None -> true
-      | Some a, Some b -> Float.equal a b
-      | Some _, None | None, Some _ -> false)
+      | Some a, Some b when Float.equal a b ->
+        (match Option.bind (Cycle_ratio.critical_cycle g a) closed_ratio with
+         | Some c when abs_float (c -. a) <= 1e-6 -> true
+         | _ -> QCheck.Test.fail_reportf "critical_cycle misses ratio %h" a)
+      | a, b ->
+        let pp = function None -> "none" | Some x -> Printf.sprintf "%h" x in
+        QCheck.Test.fail_reportf "howard %s, oracle %s" (pp a) (pp b))
 
 let suite =
   [ "graph.known", known_tests;
     "graph.properties",
-    List.map QCheck_alcotest.to_alcotest [ agreement; monotone; flat_agreement ] ]
+    List.map QCheck_alcotest.to_alcotest [ agreement; monotone; oracle ] ]

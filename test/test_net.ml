@@ -418,7 +418,10 @@ let connect host port =
 let tcp_tests () =
   [ Alcotest.test_case "TCP end to end: serve, stats, graceful stop" `Quick
       (fun () ->
-        let serve = Serve.create ~workers:1 () in
+        let serve =
+          Serve.of_config
+            { Serve.default_config with Serve.workers = Some 1 }
+        in
         Fun.protect ~finally:(fun () -> Serve.shutdown serve) @@ fun () ->
         let th, host, port =
           start_tcp serve { Net.default_config with Net.port = 0 }
@@ -450,7 +453,10 @@ let tcp_tests () =
         Thread.join th);
     Alcotest.test_case "connections over max-conns are refused" `Quick
       (fun () ->
-        let serve = Serve.create ~workers:1 () in
+        let serve =
+          Serve.of_config
+            { Serve.default_config with Serve.workers = Some 1 }
+        in
         Fun.protect ~finally:(fun () -> Serve.shutdown serve) @@ fun () ->
         let th, host, port =
           start_tcp serve
@@ -497,7 +503,10 @@ let tcp_tests () =
 let suite =
   (* one shared long-lived core for the pure-protocol and session
      tests, exactly as a server process would hold it *)
-  let serve = Serve.create ~workers:1 () in
+  let serve =
+    Serve.of_config
+      { Serve.default_config with Serve.workers = Some 1 }
+  in
   [ ( "net",
       [ QCheck_alcotest.to_alcotest qcheck_framing ]
       @ framing_unit_tests @ protocol_tests serve @ config_tests

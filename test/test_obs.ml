@@ -259,7 +259,10 @@ let qcheck_wire_requests serve =
 let stats_snapshot =
   Alcotest.test_case "stats counts requests, errors, cache, latency" `Quick
     (fun () ->
-      let t = Serve.create ~workers:1 () in
+      let t =
+        Serve.of_config
+          { Serve.default_config with Serve.workers = Some 1 }
+      in
       Fun.protect ~finally:(fun () -> Serve.shutdown t) @@ fun () ->
       let send line = ignore (Serve.handle_line t line) in
       let req ?(arch = "SKL") hex =
@@ -362,7 +365,10 @@ let no_drift =
         match Hex.decode valid_hex with Ok c -> c | Error _ -> assert false
       in
       let p = Model.predict (Block.of_bytes cfg code) in
-      let t = Serve.create ~workers:1 () in
+      let t =
+        Serve.of_config
+          { Serve.default_config with Serve.workers = Some 1 }
+      in
       Fun.protect ~finally:(fun () -> Serve.shutdown t) @@ fun () ->
       let resp =
         Serve.handle_line t
@@ -380,29 +386,31 @@ let no_drift =
 (* Model.predict ~notion unification                                   *)
 
 let notion_tests =
-  [ Alcotest.test_case "predict ~notion matches the deprecated entry points"
+  [ Alcotest.test_case "predict ~notion:Auto dispatches on the trailing branch"
       `Quick (fun () ->
         let cfg = Config.by_arch Config.SKL in
-        let b =
+        let insts =
           match Asm.parse_block "add rax, rbx\nimul rcx, rdx" with
-          | Ok insts -> Block.of_instructions cfg insts
+          | Ok insts -> insts
           | Error m -> Alcotest.failf "parse: %s" m
         in
-        Alcotest.(check (float 1e-12)) "U"
-          (Model.predict_u b).Model.cycles
-          (Model.predict ~notion:Model.U b).Model.cycles;
-        Alcotest.(check (float 1e-12)) "L"
-          (Model.predict_l b).Model.cycles
-          (Model.predict ~notion:Model.L b).Model.cycles;
-        let auto = (Model.predict ~notion:Model.Auto b).Model.cycles in
-        let expect =
-          if Block.ends_in_branch b then (Model.predict_l b).Model.cycles
-          else (Model.predict_u b).Model.cycles
-        in
-        Alcotest.(check (float 1e-12)) "Auto dispatch" expect auto) ]
+        let cycles notion b = (Model.predict ~notion b).Model.cycles in
+        List.iter
+          (fun (name, insts, branch) ->
+            let b = Block.of_instructions cfg insts in
+            Alcotest.(check bool) (name ^ " ends in a branch") branch
+              (Block.ends_in_branch b);
+            Alcotest.(check (float 0.0)) name
+              (cycles (if branch then Model.L else Model.U) b)
+              (cycles Model.Auto b))
+          [ ("straight-line", insts, false);
+            ("looped", Facile_bhive.Genblock.looped insts, true) ]) ]
 
 let suite =
-  let serve = Serve.create ~workers:1 () in
+  let serve =
+    Serve.of_config
+      { Serve.default_config with Serve.workers = Some 1 }
+  in
   (* shared long-lived instance for the qcheck wire tests: exercising
      one state machine across hundreds of mixed requests is exactly
      the serving scenario *)

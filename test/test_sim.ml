@@ -135,8 +135,8 @@ let optimism =
                   let b = Block.of_instructions cfg insts in
                   let p =
                     (match mode with
-                     | `Loop -> Model.predict_l b
-                     | `Unrolled -> Model.predict_u b)
+                     | `Loop -> Model.predict ~notion:Model.L b
+                     | `Unrolled -> Model.predict ~notion:Model.U b)
                       .Model.cycles
                   in
                   let hw = Sim.cycles_per_iteration ~mode b in

@@ -364,7 +364,10 @@ let serve_fault_isolation =
     `Quick (fun () ->
       Fun.protect ~finally:Fault.clear @@ fun () ->
       Fault.configure "predict:1:42:1";  (* exactly one crash *)
-      let t = Serve.create ~workers:1 () in
+      let t =
+        Serve.of_config
+          { Serve.default_config with Serve.workers = Some 1 }
+      in
       Fun.protect ~finally:(fun () -> Serve.shutdown t) @@ fun () ->
       let r1 = Serve.handle_line t (req valid_hex) in
       Alcotest.(check (option string)) "typed internal error"
@@ -385,7 +388,11 @@ let serve_fault_isolation =
 
 let serve_deadline =
   Alcotest.test_case "an exhausted deadline answers timeout" `Quick (fun () ->
-      let t = Serve.create ~workers:1 ~deadline_ms:0 () in
+      let t =
+        Serve.of_config
+          { Serve.default_config with
+            Serve.workers = Some 1; deadline_ms = Some 0 }
+      in
       Fun.protect ~finally:(fun () -> Serve.shutdown t) @@ fun () ->
       let r = Serve.handle_line t (req valid_hex) in
       Alcotest.(check (option string)) "timeout kind" (Some "timeout")
@@ -402,7 +409,11 @@ let serve_too_large =
       let limits =
         { Serve.default_limits with Serve.max_input_bytes = 8; max_insts = 2 }
       in
-      let t = Serve.create ~workers:1 ~limits () in
+      let t =
+        Serve.of_config
+          { Serve.default_config with
+            Serve.workers = Some 1; limits }
+      in
       Fun.protect ~finally:(fun () -> Serve.shutdown t) @@ fun () ->
       (* payload over max_input_bytes *)
       let r = Serve.handle_line t (req (String.concat "" (List.init 16 (fun _ -> "90")))) in
@@ -414,8 +425,10 @@ let serve_too_large =
         (error_kind r2);
       (* a line bigger than max_line_bytes is refused outright *)
       let tiny =
-        Serve.create ~workers:1
-          ~limits:{ Serve.default_limits with Serve.max_line_bytes = 32 } ()
+        Serve.of_config
+          { Serve.default_config with
+            Serve.workers = Some 1;
+            limits = { Serve.default_limits with Serve.max_line_bytes = 32 } }
       in
       Fun.protect ~finally:(fun () -> Serve.shutdown tiny) @@ fun () ->
       let r3 = Serve.handle_line tiny (req (String.make 64 '9')) in
@@ -430,7 +443,11 @@ let serve_too_large =
    queue drained, clean return. *)
 let serve_eof_drain =
   Alcotest.test_case "run drains queued work on EOF" `Quick (fun () ->
-      let t = Serve.create ~workers:1 ~queue_cap:64 () in
+      let t =
+        Serve.of_config
+          { Serve.default_config with
+            Serve.workers = Some 1; queue_cap = 64 }
+      in
       Fun.protect ~finally:(fun () -> Serve.shutdown t) @@ fun () ->
       let req_r, req_w = Unix.pipe ~cloexec:false () in
       let resp_r, resp_w = Unix.pipe ~cloexec:false () in
