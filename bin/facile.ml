@@ -364,81 +364,118 @@ let batch_cmd =
         in
         (* one block per line: hex machine code, optionally followed by
            ",<measured cycles>"; blank lines and '#' comments skipped *)
+        let lines =
+          String.split_on_char '\n' (read_input file)
+          |> List.mapi (fun i line -> (i + 1, String.trim line))
+          |> List.filter (fun (_, l) -> l <> "" && l.[0] <> '#')
+          |> Array.of_list
+        in
+        if lines = [||] then failwith "no blocks in input";
         let exception Line of Err.t in
-        let* cases =
-          try
-            Ok
-              (String.split_on_char '\n' (read_input file)
-              |> List.mapi (fun i line -> (i + 1, String.trim line))
-              |> List.filter (fun (_, l) -> l <> "" && l.[0] <> '#')
-              |> List.map (fun (lineno, line) ->
-                     let at_line (e : Err.t) =
-                       Err.v ?pos:e.Err.pos e.Err.kind
-                         (Printf.sprintf "line %d: %s" lineno e.Err.msg)
-                     in
-                     let hex, measured =
-                       match String.index_opt line ',' with
-                       | None -> (line, None)
-                       | Some i ->
-                         let m =
-                           String.sub line (i + 1) (String.length line - i - 1)
-                         in
-                         (match float_of_string_opt (String.trim m) with
-                          | Some v -> (String.sub line 0 i, Some v)
-                          | None ->
-                            raise
-                              (Line
-                                 (Err.v Err.Parse_error
-                                    (Printf.sprintf
-                                       "line %d: cannot parse measured \
-                                        cycles %S"
-                                       lineno (String.trim m)))))
-                     in
-                     let code =
-                       match Hex.decode hex with
-                       | Ok c -> c
-                       | Error e -> raise (Line (at_line e))
-                     in
-                     let block =
-                       match decode_block cfg code with
-                       | Ok b -> b
-                       | Error e -> raise (Line (at_line e))
-                     in
-                     (lineno, block, measured)))
-          with Line e -> Error e
+        (* pass 1, one line: the measured label (finite and positive, or
+           the aggregate metrics would be meaningless), hex, block *)
+        let parse (lineno, line) =
+          let at_line (e : Err.t) =
+            Line
+              (Err.v ?pos:e.Err.pos e.Err.kind
+                 (Printf.sprintf "line %d: %s" lineno e.Err.msg))
+          in
+          let bad_measured fmt m =
+            raise (at_line (Err.v Err.Parse_error (Printf.sprintf fmt m)))
+          in
+          let hex, measured =
+            match String.index_opt line ',' with
+            | None -> (line, None)
+            | Some i ->
+              let m =
+                String.trim
+                  (String.sub line (i + 1) (String.length line - i - 1))
+              in
+              (match float_of_string_opt m with
+               | Some v when Float.is_finite v && v > 0.0 ->
+                 (String.sub line 0 i, Some v)
+               | Some _ ->
+                 bad_measured
+                   "measured cycles must be finite and positive, got %S" m
+               | None -> bad_measured "cannot parse measured cycles %S" m)
+          in
+          match Result.bind (Hex.decode hex) (decode_block cfg) with
+          | Ok block -> (lineno, block, measured)
+          | Error e -> raise (at_line e)
         in
-        if cases = [] then failwith "no blocks in input";
-        (* deterministic fault injection (store I/O drills): a no-op
-           unless FACILE_FAULT is set *)
-        (try Facile_engine.Fault.configure_from_env ()
-         with Invalid_argument m -> failwith m);
-        let* store =
-          match store with
-          | None -> Ok None
-          | Some path ->
-            Result.map Option.some (Facile_store.Store.open_rw path)
+        (* pass 2, one block: its output row, rendered where it is
+           predicted *)
+        let render =
+          if json then fun lineno measured p ->
+            (* NDJSON, one object per block via the shared encoding; the
+               human-readable summary moves to stderr *)
+            Json.to_string
+              (prediction_with_context
+                 (("line", Json.Int lineno)
+                  ::
+                  (match measured with
+                   | Some m -> [ "measured", Json.Float m ]
+                   | None -> []))
+                 p)
+            ^ "\n"
+          else if quiet then fun _ _ _ -> ""
+          else fun lineno measured (p : Model.prediction) ->
+            Printf.sprintf "%-6d %8.2f  %s%s\n" lineno p.Model.cycles
+              (String.concat "+"
+                 (List.map Model.component_name p.Model.bottlenecks))
+              (match measured with
+               | Some m -> Printf.sprintf "  (measured %.2f)" m
+               | None -> "")
         in
-        let blocks = List.map (fun (_, b, _) -> b) cases in
         let pool =
           Facile_engine.Engine.create ?workers ~memoize:(not no_memo)
             ~cache_cap ?cache_shards ()
         in
-        (* warm restart: replay the store into the memo cache (file
-           order is recency order, so the LRU comes back as it was) *)
-        (match store with
-         | None -> ()
-         | Some (_, (report : Facile_store.Store.report)) ->
-           Facile_engine.Engine.memo_seed pool
-             (List.rev_map Facile_store.Codec.to_memo
-                report.Facile_store.Store.records));
-        let t0 = Unix.gettimeofday () in
-        let preds =
+        let* rows, dt, store =
           Fun.protect
             ~finally:(fun () -> Facile_engine.Engine.shutdown pool)
             (fun () ->
-              Facile_engine.Engine.predict_batch pool ~mode:engine_mode blocks)
+              let t0 = Unix.gettimeofday () in
+              (* [Engine.map] re-raises the lowest failing index, so the
+                 first bad line in file order is reported, before any
+                 fault or store set-up has run *)
+              let* cases =
+                try Ok (Facile_engine.Engine.map pool parse lines)
+                with Line e -> Error e
+              in
+              let decode_s = Unix.gettimeofday () -. t0 in
+              (* deterministic fault injection (store I/O drills): a
+                 no-op unless FACILE_FAULT is set *)
+              (try Facile_engine.Fault.configure_from_env ()
+               with Invalid_argument m -> failwith m);
+              let* store =
+                match store with
+                | None -> Ok None
+                | Some path ->
+                  Result.map Option.some (Facile_store.Store.open_rw path)
+              in
+              (* warm restart: replay the store into the memo cache (file
+                 order is recency order, so the LRU comes back as it
+                 was) *)
+              (match store with
+               | None -> ()
+               | Some (_, (report : Facile_store.Store.report)) ->
+                 Facile_engine.Engine.memo_seed pool
+                   (List.rev_map Facile_store.Codec.to_memo
+                      report.Facile_store.Store.records));
+              let t1 = Unix.gettimeofday () in
+              let rows =
+                Facile_engine.Engine.map pool
+                  (fun (lineno, block, measured) ->
+                    let p =
+                      Facile_engine.Engine.predict pool ~mode:engine_mode block
+                    in
+                    ( Option.map (fun m -> (m, p.Model.cycles)) measured,
+                      render lineno measured p ))
+                  cases
+              in
+              Ok (rows, decode_s +. (Unix.gettimeofday () -. t1), store))
         in
-        let dt = Unix.gettimeofday () -. t0 in
         let flushed =
           match store with
           | None -> None
@@ -452,35 +489,12 @@ let batch_cmd =
             in
             Some n
         in
-        if json then
-          (* NDJSON, one object per block via the shared encoding; the
-             human-readable summary moves to stderr *)
-          List.iter2
-            (fun (lineno, _, measured) (p : Model.prediction) ->
-              print_endline
-                (Json.to_string
-                   (prediction_with_context
-                      (("line", Json.Int lineno)
-                       ::
-                       (match measured with
-                        | Some m -> [ "measured", Json.Float m ]
-                        | None -> []))
-                      p)))
-            cases preds
-        else if not quiet then begin
+        if not (json || quiet) then
           Printf.printf "%-6s %8s  %s\n" "line" "cycles" "bottlenecks";
-          List.iter2
-            (fun (lineno, _, measured) (p : Model.prediction) ->
-              Printf.printf "%-6d %8.2f  %s%s\n" lineno p.Model.cycles
-                (String.concat "+"
-                   (List.map Model.component_name p.Model.bottlenecks))
-                (match measured with
-                 | Some m -> Printf.sprintf "  (measured %.2f)" m
-                 | None -> ""))
-            cases preds
-        end;
+        Array.iter (fun (_, row) -> output_string stdout row) rows;
+        flush stdout;
         let out = if json then stderr else stdout in
-        let n = List.length blocks in
+        let n = Array.length rows in
         let hits, misses = Facile_engine.Engine.memo_stats pool in
         Printf.fprintf out
           "%d blocks on %s in %.3f s (%.0f blocks/s, %d worker%s%s)\n" n
@@ -497,12 +511,7 @@ let batch_cmd =
          | Some n ->
            Printf.fprintf out "store: %d new record%s appended\n" n
              (if n = 1 then "" else "s"));
-        let pairs =
-          List.filter_map
-            (fun ((_, _, measured), (p : Model.prediction)) ->
-              Option.map (fun m -> (m, p.Model.cycles)) measured)
-            (List.combine cases preds)
-        in
+        let pairs = List.filter_map fst (Array.to_list rows) in
         if pairs <> [] then begin
           Printf.fprintf out
             "aggregate error vs. measured (%d block%s): MAPE %.2f%%"

@@ -75,8 +75,9 @@ val cache_stats : t -> cache_stats
 (** [map t f xs] — [Array.map f xs], spread over the pool. [f] must be
     safe to call from any domain (in particular it must not touch
     domain-unsafe shared state). The result array is ordered like the
-    input; an exception raised by any [f x] is re-raised in the caller
-    after the batch drains. *)
+    input. If some [f xs.(i)] raise, the caller gets the exception of
+    the lowest such [i], whatever the pool size, once the batch has
+    drained; elements after it may or may not have been evaluated. *)
 val map : t -> ('a -> 'b) -> 'a array -> 'b array
 
 (** [map_list t f xs] — [List.map f xs] via {!map}. *)

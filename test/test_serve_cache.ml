@@ -223,8 +223,137 @@ let hit_beats_zero_deadline =
       Alcotest.(check (option string)) "fresh key times out" (Some "timeout")
         (error_kind (Serve.handle_line t {|{"id":2,"hex":"4829d8"}|})))
 
+(* ----- facile batch: pool passes, error precedence ----- *)
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+let contains s sub =
+  let n = String.length sub in
+  let rec at i =
+    i + n <= String.length s && (String.sub s i n = sub || at (i + 1))
+  in
+  at 0
+
+(* [facile batch ARGS] on [input]: (exit code, stdout, stderr). *)
+let run_batch args input =
+  let tmp ext = Filename.temp_file "facile-batch" ext in
+  let inp = tmp ".txt" and out = tmp ".out" and err = tmp ".err" in
+  Fun.protect ~finally:(fun () -> List.iter Sys.remove [ inp; out; err ])
+  @@ fun () ->
+  Out_channel.with_open_bin inp (fun oc -> output_string oc input);
+  let rc =
+    Sys.command
+      (Printf.sprintf "%s batch %s %s >%s 2>%s" facile_exe args
+         (Filename.quote inp) (Filename.quote out) (Filename.quote err))
+  in
+  (rc, read_file out, read_file err)
+
+(* the error must name [line] and nothing may reach stdout *)
+let check_error ~what ~code ~line (rc, out, err) =
+  Alcotest.(check int) (what ^ ": exit code") code rc;
+  Alcotest.(check string) (what ^ ": stdout is empty") "" out;
+  let prefix = Printf.sprintf "error: line %d: " line in
+  if not (String.starts_with ~prefix err) then
+    Alcotest.failf "%s: stderr %S does not start with %S" what err prefix
+
+let batch_deterministic =
+  Alcotest.test_case "--json is byte-identical for any pool size and --no-memo"
+    `Quick (fun () ->
+      let hexes = List.map to_hex (corpus_bytes ()) in
+      let input =
+        String.concat "\n"
+          ([ "# a comment"; "" ]
+           @ List.mapi (fun i h -> Printf.sprintf "%s,%d.5" h (i + 1)) hexes
+           @ [ ""; "  # indented comment" ]
+           @ hexes @ List.rev hexes)
+        ^ "\n"
+      in
+      let json args =
+        let rc, out, err = run_batch ("--json " ^ args) input in
+        Alcotest.(check int) (args ^ ": exit 0") 0 rc;
+        if not (contains err "Kendall tau") then
+          Alcotest.failf "%s: no Kendall tau in %S" args err;
+        out
+      in
+      let want = json "--workers 1" in
+      Alcotest.(check int) "one line per block" (3 * List.length hexes)
+        (List.length (String.split_on_char '\n' want) - 1);
+      List.iter
+        (fun args -> Alcotest.(check string) args want (json args))
+        [ "--workers 2"; "--workers 4"; "--workers 1 --no-memo";
+          "--workers 4 --no-memo" ])
+
+let batch_first_bad_line_wins =
+  Alcotest.test_case "the first bad line is reported, whatever its kind"
+    `Quick (fun () ->
+      check_error ~what:"measured then hex" ~code:4 ~line:2
+        (run_batch "" "4801d8\n4801d8,0\nzz\n");
+      check_error ~what:"hex then measured" ~code:3 ~line:2
+        (run_batch "" "4801d8\nzz\n4801d8,0\n");
+      (* far apart in a corpus large enough to span several work
+         chunks, so the two failures land on different domains *)
+      let corpus bad =
+        String.concat ""
+          (List.init 400 (fun i ->
+               match List.assoc_opt (i + 1) bad with
+               | Some l -> l ^ "\n"
+               | None -> "4801d8,1\n"))
+      in
+      List.iter
+        (fun w ->
+          let args = Printf.sprintf "--json --workers %d" w in
+          check_error ~what:(args ^ ": label at 250, hex at 390") ~code:4
+            ~line:250
+            (run_batch args (corpus [ (250, "4801d8,-1"); (390, "4801dz") ]));
+          check_error ~what:(args ^ ": hex at 250, label at 390") ~code:3
+            ~line:250
+            (run_batch args (corpus [ (250, "4801dz"); (390, "4801d8,-1") ]));
+          check_error ~what:(args ^ ": undecodable at 17") ~code:7 ~line:17
+            (run_batch args (corpus [ (17, "ff"); (390, "zz") ])))
+        [ 1; 2; 4 ])
+
+let batch_measured_values =
+  Alcotest.test_case "measured cycles must be finite and positive" `Quick
+    (fun () ->
+      List.iter
+        (fun m ->
+          check_error ~what:("measured " ^ m) ~code:4 ~line:2
+            (run_batch "--json" (Printf.sprintf "4801d8,1\n4801d8,%s\n" m));
+          check_error ~what:("quiet, measured " ^ m) ~code:4 ~line:2
+            (run_batch "-q" (Printf.sprintf "4801d8,1\n4801d8,%s\n" m)))
+        [ "0"; "-0"; "-3"; "nan"; "inf"; "-inf"; "abc"; "" ];
+      let rc, out, err = run_batch "--json" "4801d8,1e-3\n4801d8, 2 \n" in
+      Alcotest.(check int) "tiny and padded labels are accepted" 0 rc;
+      Alcotest.(check bool) "both labels echoed" true
+        (List.for_all
+           (fun m ->
+             List.exists
+               (fun l -> String.starts_with ~prefix:m l)
+               (String.split_on_char '\n' out))
+           [ {|{"line":1,"measured":0.001,|}; {|{"line":2,"measured":2.0,|} ]);
+      if not (contains err "MAPE") then
+        Alcotest.failf "no MAPE summary in %S" err)
+
+let batch_error_leaves_no_store =
+  Alcotest.test_case "a bad line leaves no store file behind" `Quick
+    (fun () ->
+      let path = Filename.temp_file "facile-batch" ".store" in
+      Sys.remove path;
+      Fun.protect ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
+      @@ fun () ->
+      let args = "--store " ^ Filename.quote path in
+      check_error ~what:"bad hex" ~code:3 ~line:2
+        (run_batch args "4801d8\nzz\n");
+      check_error ~what:"bad label" ~code:4 ~line:1
+        (run_batch args "4801d8,nan\n");
+      Alcotest.(check bool) "no file at the store path" false
+        (Sys.file_exists path))
+
 let suite =
   [ ( "serve.cache",
       [ miss_and_hits_identical;
         QCheck_alcotest.to_alcotest qcheck_asm_equals_hex;
-        hits_skip_compute; hit_beats_zero_deadline ] ) ]
+        hits_skip_compute; hit_beats_zero_deadline ] );
+    ( "batch.cli",
+      [ batch_deterministic; batch_first_bad_line_wins; batch_measured_values;
+        batch_error_leaves_no_store ] ) ]
