@@ -791,7 +791,8 @@ let obs_bench () =
 (* ------------------------------------------------------------------ *)
 (* perf: hot-path ns/block per arch, fast pipeline vs the reference    *)
 (* (pre-flattening) pipeline, with a CI regression gate against the    *)
-(* committed bench/baseline_perf.json.                                 *)
+(* committed bench/baseline_perf.json; plus the cost of building each  *)
+(* block from its machine code (reported, not gated).                  *)
 
 exception Perf_regression of string
 
@@ -813,6 +814,18 @@ let perf () =
     done;
     !best *. 1e9 /. float_of_int (List.length blocks)
   in
+  let minor_words f xs =
+    let w0 = Gc.minor_words () in
+    List.iter (fun x -> ignore (Sys.opaque_identity (f x))) xs;
+    (Gc.minor_words () -. w0) /. float_of_int (List.length xs)
+  in
+  (* block build: bytes -> decoded, re-encoded, described block *)
+  let codes =
+    List.map
+      (fun (c : Suite.case) ->
+        fst (Facile_x86.Encode.encode_block c.Suite.loop))
+      cases
+  in
   let rows =
     List.map
       (fun (cfg : Config.t) ->
@@ -824,6 +837,13 @@ let perf () =
         let fast = measure (fun b -> Model.predict b) blocks in
         let refn = measure (fun b -> Model.predict_reference b) blocks in
         (cfg, fast, refn, refn /. Float.max fast 1e-9))
+      Config.all
+  in
+  let build_rows =
+    List.map
+      (fun (cfg : Config.t) ->
+        let build code = Block.of_bytes cfg code in
+        (cfg, measure build codes, minor_words build codes))
       Config.all
   in
   Report.Table.print
@@ -842,19 +862,33 @@ let perf () =
       Printf.printf "%s ns/block %.0f (%.2fx vs reference)\n" cfg.Config.abbrev
         fast s)
     rows;
+  Report.Table.print
+    ~title:
+      (Printf.sprintf
+         "Block build: Block.of_bytes per block (loop encodings, %d blocks x \
+          %d reps)"
+         (List.length codes) reps)
+    ~header:[ "uArch"; "ns/block"; "minor words/block" ]
+    (List.map
+       (fun ((cfg : Config.t), ns, words) ->
+         [ cfg.Config.abbrev; Printf.sprintf "%.0f" ns;
+           Printf.sprintf "%.0f" words ])
+       build_rows);
   bench_record "perf"
     [ "corpus", Json.Int (List.length cases);
       "reps", Json.Int reps;
       ( "arches",
         Json.Arr
-          (List.map
-             (fun (cfg, fast, refn, s) ->
+          (List.map2
+             (fun (cfg, fast, refn, s) (_, build_ns, build_words) ->
                Json.Obj
                  [ "arch", Json.Str cfg.Config.abbrev;
                    "ns_per_block", Json.Float fast;
                    "ref_ns_per_block", Json.Float refn;
-                   "speedup", Json.Float s ])
-             rows) ) ];
+                   "speedup", Json.Float s;
+                   "build_ns_per_block", Json.Float build_ns;
+                   "build_minor_words_per_block", Json.Float build_words ])
+             rows build_rows) ) ];
   (* Regression gate: each arch's ns/block may exceed its committed
      baseline by at most 20%.  FACILE_PERF_BASELINE overrides the
      baseline path; an absent file skips the gate (fresh checkouts

@@ -83,14 +83,15 @@ let predict_block block mode =
 let mode_name = function `Loop -> "loop" | `Unrolled -> "unroll"
 
 (* Run a command body; typed errors exit with their kind's code,
-   untyped Failure keeps the generic exit 1. *)
+   untyped Failure and file-system errors (an unreadable input file)
+   keep the generic exit 1. *)
 let finish f =
   match f () with
   | Ok () -> 0
   | Error (e : Err.t) | (exception Err.Error e) ->
     prerr_endline ("error: " ^ Err.to_string e);
     Err.exit_code e.Err.kind
-  | exception Failure m ->
+  | exception (Failure m | Sys_error m) ->
     prerr_endline ("error: " ^ m);
     1
 

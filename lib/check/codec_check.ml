@@ -183,17 +183,13 @@ let check_dead_entries () =
   let sse =
     List.concat_map
       (fun (e : Sse_table.entry) ->
-        let first =
+        match
           List.find_opt
-            (fun (e' : Sse_table.entry) ->
-              e'.pp = e.pp && e'.map = e.map && e'.op = e.op
-              && same_group_digit e' e)
-            Sse_table.entries
-        in
-        match Sse_table.find_by_opcode e.pp e.map e.op with
-        | Some hit when hit == e -> []
+            (fun e' -> same_group_digit e' e)
+            (Sse_table.find_by_opcode e.pp e.map e.op)
+        with
+        | Some first when first == e -> []
         | _ when shared_movd_movq e -> []
-        | _ when (match first with Some f -> f == e | None -> false) -> []
         | _ ->
           [ error "codec-dead-entry"
               (Printf.sprintf "sse:%s/%02x" (Inst.mnemonic_name e.mnem) e.op)

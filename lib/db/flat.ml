@@ -58,99 +58,51 @@ let is_canonical cfg = canonical.(arch_index cfg.Config.arch) == cfg
 (* Shape key: every feature [Db.describe] dispatches on, packed into   *)
 (* one immediate int (mnemonic code * 4096 + 12 feature bits).         *)
 
-let mnem_code : (Inst.mnemonic, int) Hashtbl.t =
-  let h = Hashtbl.create 256 in
-  List.iteri (fun i mn -> Hashtbl.add h mn i) Inst.all_mnemonics;
-  h
-
 let n_key_bits = 12
 
-(* Mirrors [Db.int_width]: width of the first GPR or memory operand. *)
-let int_width_code (ops : Operand.t list) =
-  let rec go = function
-    | [] -> 3
-    | Operand.Reg (Register.Gpr (w, _)) :: _ ->
-      (match w with
-       | Register.W8 -> 0
-       | Register.W16 -> 1
-       | Register.W32 -> 2
-       | Register.W64 -> 3)
-    | Operand.Mem m :: _ ->
-      (match m.Operand.width with 1 -> 0 | 2 -> 1 | 4 -> 2 | _ -> 3)
-    | _ :: rest -> go rest
-  in
-  go ops
+let width_code = function 1 -> 0 | 2 -> 1 | 4 -> 2 | _ -> 3
+
+(* One pass over the operands.  [pos] is the operand position, [w] the
+   integer-width code of the first GPR or memory operand (mirrors
+   [Db.int_width]; -1 until one is seen, 3 if none), [regs] the number
+   of register operands, [b] the feature bits:
+     1 memory source        2 memory destination   4 indexed memory
+     8 ymm width           64 immediate second    128 any immediate
+   256 two+ registers     512 3-component LEA    1024 xmm first
+  2048 xmm second *)
+let rec key_bits ~lea pos w regs b = function
+  | [] ->
+    let w = if w < 0 then 3 else w in
+    (w lsl 4) lor (if regs >= 2 then b lor 256 else b)
+  | Operand.Reg (Register.Gpr (gw, _)) :: rest ->
+    let w = if w < 0 then width_code (Register.width_bytes gw) else w in
+    key_bits ~lea (pos + 1) w (regs + 1) b rest
+  | Operand.Reg (Register.Ymm _) :: rest ->
+    key_bits ~lea (pos + 1) w (regs + 1) (b lor 8) rest
+  | Operand.Reg (Register.Xmm _) :: rest ->
+    let x = if pos = 0 then 1024 else if pos = 1 then 2048 else 0 in
+    key_bits ~lea (pos + 1) w (regs + 1) (b lor x) rest
+  | Operand.Mem m :: rest ->
+    let indexed = match m.Operand.index with Some _ -> true | None -> false in
+    let b =
+      b
+      lor (if pos = 0 then 2 else 1)
+      lor (if indexed then 4 else 0)
+      lor (if m.Operand.width = 32 then 8 else 0)
+      lor (match m.Operand.base with
+           | Some _ when lea && indexed && m.Operand.disp <> 0 -> 512
+           | _ -> 0)
+    in
+    let w = if w < 0 then width_code m.Operand.width else w in
+    key_bits ~lea (pos + 1) w regs b rest
+  | Operand.Imm _ :: rest ->
+    let b = b lor 128 lor (if pos = 1 then 64 else 0) in
+    key_bits ~lea (pos + 1) w regs b rest
 
 let key (i : Inst.t) =
-  let mc =
-    match Hashtbl.find_opt mnem_code i.Inst.mnem with
-    | Some c -> c
-    | None -> assert false (* [all_mnemonics] is exhaustive *)
-  in
-  let ops = i.Inst.ops in
-  let mem_dst = match ops with Operand.Mem _ :: _ -> true | _ -> false in
-  let mem_src =
-    match ops with
-    | _ :: rest ->
-      List.exists (function Operand.Mem _ -> true | _ -> false) rest
-    | [] -> false
-  in
-  let mem_indexed =
-    List.exists
-      (function
-        | Operand.Mem m -> m.Operand.index <> None
-        | _ -> false)
-      ops
-  in
-  let ymm =
-    List.exists
-      (function
-        | Operand.Reg (Register.Ymm _) -> true
-        | Operand.Mem m -> m.Operand.width = 32
-        | _ -> false)
-      ops
-  in
-  let second_imm =
-    match ops with _ :: Operand.Imm _ :: _ -> true | _ -> false
-  in
-  let any_imm =
-    List.exists (function Operand.Imm _ -> true | _ -> false) ops
-  in
-  let reg_sources =
-    List.length
-      (List.filter (function Operand.Reg _ -> true | _ -> false) ops)
-  in
-  let lea3 =
-    i.Inst.mnem = Inst.LEA
-    && List.exists
-         (function
-           | Operand.Mem m ->
-             m.Operand.base <> None && m.Operand.index <> None
-             && m.Operand.disp <> 0
-           | _ -> false)
-         ops
-  in
-  let xmm0 =
-    match ops with Operand.Reg (Register.Xmm _) :: _ -> true | _ -> false
-  in
-  let xmm1 =
-    match ops with
-    | _ :: Operand.Reg (Register.Xmm _) :: _ -> true
-    | _ -> false
-  in
-  let b = ref (int_width_code ops lsl 4) in
-  let set bit cond = if cond then b := !b lor bit in
-  set 1 mem_src;
-  set 2 mem_dst;
-  set 4 mem_indexed;
-  set 8 ymm;
-  set 64 second_imm;
-  set 128 any_imm;
-  set 256 (reg_sources >= 2);
-  set 512 lea3;
-  set 1024 xmm0;
-  set 2048 xmm1;
-  (mc lsl n_key_bits) lor !b
+  let lea = match i.Inst.mnem with Inst.LEA -> true | _ -> false in
+  (Inst.mnemonic_index i.Inst.mnem lsl n_key_bits)
+  lor key_bits ~lea 0 (-1) 0 0 i.Inst.ops
 
 (* ------------------------------------------------------------------ *)
 (* Per-arch table: parallel arrays over the dense form-id space.       *)
@@ -320,10 +272,13 @@ let id_zero_idiom = -2
 let id_nop = -3
 let id_mov_elim = -4
 
+let is_nop (i : Inst.t) =
+  match i.Inst.mnem with Inst.NOP | Inst.NOPL -> true | _ -> false
+
 let id_of cfg (i : Inst.t) =
   if not (is_canonical cfg) then id_fallback
   else if Db.is_zero_idiom i then id_zero_idiom
-  else if i.Inst.mnem = Inst.NOP || i.Inst.mnem = Inst.NOPL then id_nop
+  else if is_nop i then id_nop
   else if Db.is_reg_move_elimination cfg i then id_mov_elim
   else
     let t = table cfg in
@@ -340,9 +295,7 @@ let describe cfg (i : Inst.t) : Db.t =
   if Db.is_zero_idiom i then
     if is_canonical cfg then (table cfg).elim_zero
     else Db.eliminated_desc cfg ~zero_idiom:true
-  else if i.Inst.mnem = Inst.NOP || i.Inst.mnem = Inst.NOPL
-          || Db.is_reg_move_elimination cfg i
-  then
+  else if is_nop i || Db.is_reg_move_elimination cfg i then
     if is_canonical cfg then (table cfg).elim_plain
     else Db.eliminated_desc cfg ~zero_idiom:false
   else if not (is_canonical cfg) then Db.describe cfg i

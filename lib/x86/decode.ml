@@ -26,12 +26,27 @@ let imm_le c n =
     let shift = 64 - (8 * n) in
     Int64.shift_right (Int64.shift_left !v shift) shift
 
-let width_of_bytes = function
-  | 1 -> Register.W8 | 2 -> Register.W16 | 4 -> Register.W32
-  | 8 -> Register.W64
-  | _ -> invalid_arg "width_of_bytes"
+(* Register operands are immutable, so the decoder shares one value per
+   register: [gr w n] is the [w]-byte GPR number [n], [xmm n] and
+   [vr ~ymm n] the vector register number [n]. *)
+let gpr_operands =
+  let widths = [| Register.W8; Register.W16; Register.W32; Register.W64 |] in
+  Array.init 64 (fun k ->
+      Operand.Reg
+        (Register.Gpr (widths.(k lsr 4), Register.gpr_of_index (k land 15))))
 
-let gr w n = Operand.Reg (Register.Gpr (width_of_bytes w, Register.gpr_of_index n))
+let gr w n =
+  let wi =
+    match w with
+    | 1 -> 0 | 2 -> 1 | 4 -> 2 | 8 -> 3
+    | _ -> invalid_arg "Decode.gr"
+  in
+  gpr_operands.((wi lsl 4) lor n)
+
+let xmm_operands = Array.init 16 (fun n -> Operand.Reg (Register.Xmm n))
+let ymm_operands = Array.init 16 (fun n -> Operand.Reg (Register.Ymm n))
+let xmm n = xmm_operands.(n)
+let vr ~ymm n = if ymm then ymm_operands.(n) else xmm n
 
 type rm = RmReg of int | RmMem of Operand.mem
 
@@ -84,7 +99,7 @@ let rm_operand ~width = function
   | RmMem m -> Operand.Mem { m with Operand.width }
 
 let rm_xmm_operand ~mem_width ~ymm = function
-  | RmReg n -> Operand.Reg (if ymm then Register.Ymm n else Register.Xmm n)
+  | RmReg n -> vr ~ymm n
   | RmMem m -> Operand.Mem { m with Operand.width = mem_width }
 
 let alu_of_idx = function
@@ -97,6 +112,12 @@ let shift_of_digit c = function
   | _ -> fail c "unsupported shift-group digit"
 
 let cl_reg = Operand.Reg (Register.Gpr (Register.W8, Register.RCX))
+
+(* ModRM under a REX prefix; [regn rex reg3] extends the reg field. *)
+let modrm c rex =
+  parse_modrm c ~rex_x:(rex land 2 <> 0) ~rex_b:(rex land 1 <> 0)
+
+let regn rex reg3 = reg3 lor (if rex land 4 <> 0 then 8 else 0)
 
 (* ------------------------------------------------------------------ *)
 
@@ -112,12 +133,7 @@ let decode_sse c ~p66 ~pf2 ~pf3 ~rex ~map =
     else Sse_table.PNone
   in
   let op = byte c in
-  let candidates =
-    List.filter
-      (fun e -> e.Sse_table.pp = pp_key && e.Sse_table.map = map
-                && e.Sse_table.op = op)
-      Sse_table.entries
-  in
+  let candidates = Sse_table.find_by_opcode pp_key map op in
   if candidates = [] then fail c "unknown SSE opcode";
   let reg3, rm = parse_modrm c ~rex_x ~rex_b in
   let entry =
@@ -144,44 +160,39 @@ let decode_sse c ~p66 ~pf2 ~pf3 ~rex ~map =
   let mem_width = Inst.vec_mem_width ~w:rex_w ~ymm:false mnem in
   let xrm = rm_xmm_operand ~mem_width ~ymm:false rm in
   let gw = if rex_w then 8 else 4 in
-  (* shuffle-control and shift-count immediates are unsigned bytes *)
-  let uimm8 () = Int64.of_int (byte c) in
   match entry.Sse_table.kind with
-  | Sse_table.Xx -> Inst.make mnem [ Operand.Reg (Register.Xmm regn); xrm ]
-  | Sse_table.Xx_store -> Inst.make mnem [ xrm; Operand.Reg (Register.Xmm regn) ]
+  | Sse_table.Xx -> Inst.make mnem [ xmm regn; xrm ]
+  | Sse_table.Xx_store -> Inst.make mnem [ xrm; xmm regn ]
   | Sse_table.Xx_imm8 ->
-    let v = uimm8 () in
-    Inst.make mnem [ Operand.Reg (Register.Xmm regn); xrm; Operand.Imm v ]
+    (* shuffle-control and shift-count immediates are unsigned bytes *)
+    let v = Int64.of_int (byte c) in
+    Inst.make mnem [ xmm regn; xrm; Operand.Imm v ]
   | Sse_table.Grp_imm8 _ ->
-    let v = uimm8 () in
+    let v = Int64.of_int (byte c) in
     (match rm with
-     | RmReg n -> Inst.make mnem [ Operand.Reg (Register.Xmm n); Operand.Imm v ]
+     | RmReg n -> Inst.make mnem [ xmm n; Operand.Imm v ]
      | RmMem _ -> fail c "memory operand in vector shift group")
   | Sse_table.X_gpr ->
     let src = rm_operand ~width:gw rm in
-    Inst.make mnem [ Operand.Reg (Register.Xmm regn); src ]
+    Inst.make mnem [ xmm regn; src ]
   | Sse_table.Gpr_x ->
     Inst.make mnem [ gr gw regn; xrm ]
   | Sse_table.Gpr_store ->
     let dst = rm_operand ~width:gw rm in
-    Inst.make mnem [ dst; Operand.Reg (Register.Xmm regn) ]
+    Inst.make mnem [ dst; xmm regn ]
 
 let decode_0f c ~p66 ~pf2 ~pf3 ~rex =
   let rex_w = rex land 8 <> 0 in
-  let rex_r = rex land 4 <> 0 in
-  let rex_x = rex land 2 <> 0 in
   let rex_b = rex land 1 <> 0 in
   let ew = if rex_w then 8 else if p66 then 2 else 4 in
-  let modrm () = parse_modrm c ~rex_x ~rex_b in
-  let regn reg3 = reg3 lor (if rex_r then 8 else 0) in
   let op2 = peek c in
   if op2 = 0x38 then begin
     let _ = byte c in
     let op3 = peek c in
     if op3 = 0xF0 || op3 = 0xF1 then begin
       let _ = byte c in
-      let reg3, rm = modrm () in
-      let r = gr ew (regn reg3) in
+      let reg3, rm = modrm c rex in
+      let r = gr ew (regn rex reg3) in
       let m = rm_operand ~width:ew rm in
       Inst.make Inst.MOVBE (if op3 = 0xF0 then [ r; m ] else [ m; r ])
     end
@@ -195,49 +206,49 @@ let decode_0f c ~p66 ~pf2 ~pf3 ~rex =
     match op2 with
     | 0x1F ->
       let _ = byte c in
-      let _, rm = modrm () in
+      let _, rm = modrm c rex in
       Inst.make Inst.NOPL [ rm_operand ~width:(if p66 then 2 else 4) rm ]
     | 0xAF ->
       let _ = byte c in
-      let reg3, rm = modrm () in
-      Inst.make Inst.IMUL [ gr ew (regn reg3); rm_operand ~width:ew rm ]
+      let reg3, rm = modrm c rex in
+      Inst.make Inst.IMUL [ gr ew (regn rex reg3); rm_operand ~width:ew rm ]
     | 0xB6 | 0xB7 | 0xBE | 0xBF when not pf3 ->
       let o = byte c in
       let mnem = if o < 0xBE then Inst.MOVZX else Inst.MOVSX in
       let srcw = if o land 1 = 0 then 1 else 2 in
-      let reg3, rm = modrm () in
-      Inst.make mnem [ gr ew (regn reg3); rm_operand ~width:srcw rm ]
+      let reg3, rm = modrm c rex in
+      Inst.make mnem [ gr ew (regn rex reg3); rm_operand ~width:srcw rm ]
     | 0xB8 when pf3 ->
       let _ = byte c in
-      let reg3, rm = modrm () in
-      Inst.make Inst.POPCNT [ gr ew (regn reg3); rm_operand ~width:ew rm ]
+      let reg3, rm = modrm c rex in
+      Inst.make Inst.POPCNT [ gr ew (regn rex reg3); rm_operand ~width:ew rm ]
     | 0xBC | 0xBD when pf3 ->
       let o = byte c in
       let mnem = if o = 0xBC then Inst.TZCNT else Inst.LZCNT in
-      let reg3, rm = modrm () in
-      Inst.make mnem [ gr ew (regn reg3); rm_operand ~width:ew rm ]
+      let reg3, rm = modrm c rex in
+      Inst.make mnem [ gr ew (regn rex reg3); rm_operand ~width:ew rm ]
     | 0xBC | 0xBD ->
       let o = byte c in
       let mnem = if o = 0xBC then Inst.BSF else Inst.BSR in
-      let reg3, rm = modrm () in
-      Inst.make mnem [ gr ew (regn reg3); rm_operand ~width:ew rm ]
+      let reg3, rm = modrm c rex in
+      Inst.make mnem [ gr ew (regn rex reg3); rm_operand ~width:ew rm ]
     | 0xA3 | 0xAB | 0xB3 | 0xBB ->
       let o = byte c in
       let mnem = (match o with
                   | 0xA3 -> Inst.BT | 0xAB -> Inst.BTS | 0xB3 -> Inst.BTR
                   | _ -> Inst.BTC) in
-      let reg3, rm = modrm () in
-      Inst.make mnem [ rm_operand ~width:ew rm; gr ew (regn reg3) ]
+      let reg3, rm = modrm c rex in
+      Inst.make mnem [ rm_operand ~width:ew rm; gr ew (regn rex reg3) ]
     | 0xA4 | 0xAC ->
       let o = byte c in
       let mnem = if o = 0xA4 then Inst.SHLD else Inst.SHRD in
-      let reg3, rm = modrm () in
+      let reg3, rm = modrm c rex in
       let v = imm_le c 1 in
       Inst.make mnem
-        [ rm_operand ~width:ew rm; gr ew (regn reg3); Operand.Imm v ]
+        [ rm_operand ~width:ew rm; gr ew (regn rex reg3); Operand.Imm v ]
     | 0xBA ->
       let _ = byte c in
-      let ext, rm = modrm () in
+      let ext, rm = modrm c rex in
       let mnem = (match ext with
                   | 4 -> Inst.BT | 5 -> Inst.BTS | 6 -> Inst.BTR
                   | 7 -> Inst.BTC
@@ -246,16 +257,16 @@ let decode_0f c ~p66 ~pf2 ~pf3 ~rex =
       Inst.make mnem [ rm_operand ~width:ew rm; Operand.Imm v ]
     | _ when op2 >= 0x40 && op2 <= 0x4F ->
       let o = byte c in
-      let reg3, rm = modrm () in
+      let reg3, rm = modrm c rex in
       Inst.make (Inst.CMOVcc (Inst.cond_of_code (o land 0xF)))
-        [ gr ew (regn reg3); rm_operand ~width:ew rm ]
+        [ gr ew (regn rex reg3); rm_operand ~width:ew rm ]
     | _ when op2 >= 0x80 && op2 <= 0x8F ->
       let o = byte c in
       let v = imm_le c 4 in
       Inst.make (Inst.Jcc (Inst.cond_of_code (o land 0xF))) [ Operand.Imm v ]
     | _ when op2 >= 0x90 && op2 <= 0x9F ->
       let o = byte c in
-      let _, rm = modrm () in
+      let _, rm = modrm c rex in
       Inst.make (Inst.SETcc (Inst.cond_of_code (o land 0xF)))
         [ rm_operand ~width:1 rm ]
     | _ when op2 >= 0xC8 && op2 <= 0xCF ->
@@ -286,21 +297,18 @@ let decode_vex c =
   | Some e ->
     let reg3, rm = parse_modrm c ~rex_x:x ~rex_b:b in
     let regn = reg3 lor (if r then 8 else 0) in
-    let vreg n =
-      Operand.Reg (if l then Register.Ymm n else Register.Xmm n)
-    in
     let mem_width = Inst.vec_mem_width ~w ~ymm:l e.Sse_table.vmnem in
     let xrm = rm_xmm_operand ~mem_width ~ymm:l rm in
     let gw = if w then 8 else 4 in
     (match e.Sse_table.vkind with
      | Sse_table.Vrm ->
        if vvvv <> 0 then fail c "VEX.vvvv must be 1111 for 2-operand form";
-       Inst.make e.Sse_table.vmnem [ vreg regn; xrm ]
+       Inst.make e.Sse_table.vmnem [ vr ~ymm:l regn; xrm ]
      | Sse_table.Vrm_store ->
        if vvvv <> 0 then fail c "VEX.vvvv must be 1111 for 2-operand form";
-       Inst.make e.Sse_table.vmnem [ xrm; vreg regn ]
+       Inst.make e.Sse_table.vmnem [ xrm; vr ~ymm:l regn ]
      | Sse_table.Vrvm ->
-       Inst.make e.Sse_table.vmnem [ vreg regn; vreg vvvv; xrm ]
+       Inst.make e.Sse_table.vmnem [ vr ~ymm:l regn; vr ~ymm:l vvvv; xrm ]
      | Sse_table.Vgpr_rvm ->
        Inst.make e.Sse_table.vmnem
          [ gr gw regn; gr gw vvvv; rm_operand ~width:gw rm ]
@@ -310,12 +318,8 @@ let decode_vex c =
 
 let decode_primary c ~p66 ~pf2 ~pf3 ~rex =
   let rex_w = rex land 8 <> 0 in
-  let rex_r = rex land 4 <> 0 in
-  let rex_x = rex land 2 <> 0 in
   let rex_b = rex land 1 <> 0 in
   let ew = if rex_w then 8 else if p66 then 2 else 4 in
-  let modrm () = parse_modrm c ~rex_x ~rex_b in
-  let regn reg3 = reg3 lor (if rex_r then 8 else 0) in
   let full_imm_size = if ew = 2 then 2 else 4 in
   let op = byte c in
   if op = 0x0F then decode_0f c ~p66 ~pf2 ~pf3 ~rex
@@ -323,8 +327,8 @@ let decode_primary c ~p66 ~pf2 ~pf3 ~rex =
     let mnem = alu_of_idx (op lsr 3) in
     let w = if op land 1 = 0 then 1 else ew in
     let dir = op land 2 <> 0 in
-    let reg3, rm = modrm () in
-    let r = gr w (regn reg3) in
+    let reg3, rm = modrm c rex in
+    let r = gr w (regn rex reg3) in
     let m = rm_operand ~width:w rm in
     Inst.make mnem (if dir then [ r; m ] else [ m; r ])
   end
@@ -348,41 +352,41 @@ let decode_primary c ~p66 ~pf2 ~pf3 ~rex =
   else
     match op with
     | 0x63 ->
-      let reg3, rm = modrm () in
-      Inst.make Inst.MOVSXD [ gr 8 (regn reg3); rm_operand ~width:4 rm ]
+      let reg3, rm = modrm c rex in
+      Inst.make Inst.MOVSXD [ gr 8 (regn rex reg3); rm_operand ~width:4 rm ]
     | 0x69 | 0x6B ->
-      let reg3, rm = modrm () in
+      let reg3, rm = modrm c rex in
       let isz = if op = 0x6B then 1 else full_imm_size in
       let v = imm_le c isz in
       Inst.make Inst.IMUL
-        [ gr ew (regn reg3); rm_operand ~width:ew rm; Operand.Imm v ]
+        [ gr ew (regn rex reg3); rm_operand ~width:ew rm; Operand.Imm v ]
     | 0x80 | 0x81 | 0x83 ->
-      let ext, rm = modrm () in
+      let ext, rm = modrm c rex in
       let w = if op = 0x80 then 1 else ew in
       let isz = if op = 0x81 then full_imm_size else 1 in
       let v = imm_le c isz in
       Inst.make (alu_of_idx ext) [ rm_operand ~width:w rm; Operand.Imm v ]
     | 0x84 | 0x85 ->
-      let reg3, rm = modrm () in
+      let reg3, rm = modrm c rex in
       let w = if op = 0x84 then 1 else ew in
-      Inst.make Inst.TEST [ rm_operand ~width:w rm; gr w (regn reg3) ]
+      Inst.make Inst.TEST [ rm_operand ~width:w rm; gr w (regn rex reg3) ]
     | 0x86 | 0x87 ->
-      let reg3, rm = modrm () in
+      let reg3, rm = modrm c rex in
       let w = if op = 0x86 then 1 else ew in
-      Inst.make Inst.XCHG [ rm_operand ~width:w rm; gr w (regn reg3) ]
+      Inst.make Inst.XCHG [ rm_operand ~width:w rm; gr w (regn rex reg3) ]
     | 0x88 | 0x89 ->
-      let reg3, rm = modrm () in
+      let reg3, rm = modrm c rex in
       let w = if op = 0x88 then 1 else ew in
-      Inst.make Inst.MOV [ rm_operand ~width:w rm; gr w (regn reg3) ]
+      Inst.make Inst.MOV [ rm_operand ~width:w rm; gr w (regn rex reg3) ]
     | 0x8A | 0x8B ->
-      let reg3, rm = modrm () in
+      let reg3, rm = modrm c rex in
       let w = if op = 0x8A then 1 else ew in
-      Inst.make Inst.MOV [ gr w (regn reg3); rm_operand ~width:w rm ]
+      Inst.make Inst.MOV [ gr w (regn rex reg3); rm_operand ~width:w rm ]
     | 0x8D ->
-      let reg3, rm = modrm () in
+      let reg3, rm = modrm c rex in
       (match rm with
        | RmMem _ ->
-         Inst.make Inst.LEA [ gr ew (regn reg3); rm_operand ~width:ew rm ]
+         Inst.make Inst.LEA [ gr ew (regn rex reg3); rm_operand ~width:ew rm ]
        | RmReg _ -> fail c "LEA with register source")
     | 0x90 -> Inst.make Inst.NOP []
     | 0x98 -> Inst.make (if rex_w then Inst.CDQE else Inst.CWDE) []
@@ -391,16 +395,16 @@ let decode_primary c ~p66 ~pf2 ~pf3 ~rex =
     | 0xF8 -> Inst.make Inst.CLC []
     | 0xF9 -> Inst.make Inst.STC []
     | 0xC0 | 0xC1 ->
-      let ext, rm = modrm () in
+      let ext, rm = modrm c rex in
       let w = if op = 0xC0 then 1 else ew in
       let v = imm_le c 1 in
       Inst.make (shift_of_digit c ext) [ rm_operand ~width:w rm; Operand.Imm v ]
     | 0xD2 | 0xD3 ->
-      let ext, rm = modrm () in
+      let ext, rm = modrm c rex in
       let w = if op = 0xD2 then 1 else ew in
       Inst.make (shift_of_digit c ext) [ rm_operand ~width:w rm; cl_reg ]
     | 0xC6 | 0xC7 ->
-      let ext, rm = modrm () in
+      let ext, rm = modrm c rex in
       if ext <> 0 then fail c "unsupported C6/C7 group digit";
       let w = if op = 0xC6 then 1 else ew in
       let isz = if w = 1 then 1 else full_imm_size in
@@ -413,7 +417,7 @@ let decode_primary c ~p66 ~pf2 ~pf3 ~rex =
       let v = imm_le c 1 in
       Inst.make Inst.JMP [ Operand.Imm v ]
     | 0xF6 | 0xF7 ->
-      let ext, rm = modrm () in
+      let ext, rm = modrm c rex in
       let w = if op = 0xF6 then 1 else ew in
       (match ext with
        | 0 ->
@@ -427,7 +431,7 @@ let decode_primary c ~p66 ~pf2 ~pf3 ~rex =
        | 7 -> Inst.make Inst.IDIV [ rm_operand ~width:w rm ]
        | _ -> fail c "unsupported F6/F7 group digit")
     | 0xFE | 0xFF ->
-      let ext, rm = modrm () in
+      let ext, rm = modrm c rex in
       let w = if op = 0xFE then 1 else ew in
       (match ext with
        | 0 -> Inst.make Inst.INC [ rm_operand ~width:w rm ]
@@ -435,18 +439,21 @@ let decode_primary c ~p66 ~pf2 ~pf3 ~rex =
        | _ -> fail c "unsupported FE/FF group digit")
     | _ -> fail c (Printf.sprintf "unknown opcode 0x%02X" op)
 
+(* Legacy prefixes as bits: 1 = 66, 2 = F2, 4 = F3. *)
+let rec legacy_prefixes c bits =
+  let bit = match peek c with 0x66 -> 1 | 0xF2 -> 2 | 0xF3 -> 4 | _ -> 0 in
+  if bit = 0 then bits
+  else begin
+    c.pos <- c.pos + 1;
+    legacy_prefixes c (bits lor bit)
+  end
+
 let decode_one data ~pos =
   let c = { data; pos; start = pos } in
   (* legacy prefixes, then an optional REX, then the opcode *)
-  let p66 = ref false and pf2 = ref false and pf3 = ref false in
-  let rec legacy () =
-    match peek c with
-    | 0x66 -> p66 := true; c.pos <- c.pos + 1; legacy ()
-    | 0xF2 -> pf2 := true; c.pos <- c.pos + 1; legacy ()
-    | 0xF3 -> pf3 := true; c.pos <- c.pos + 1; legacy ()
-    | _ -> ()
-  in
-  legacy ();
+  let legacy = legacy_prefixes c 0 in
+  let p66 = legacy land 1 <> 0 and pf2 = legacy land 2 <> 0
+  and pf3 = legacy land 4 <> 0 in
   let rex =
     let b = peek c in
     if b >= 0x40 && b <= 0x4F then begin
@@ -457,9 +464,8 @@ let decode_one data ~pos =
   in
   let inst =
     let b = peek c in
-    if (b = 0xC4 || b = 0xC5) && not (!p66 || !pf2 || !pf3) && rex = 0 then
-      decode_vex c
-    else decode_primary c ~p66:!p66 ~pf2:!pf2 ~pf3:!pf3 ~rex
+    if (b = 0xC4 || b = 0xC5) && legacy = 0 && rex = 0 then decode_vex c
+    else decode_primary c ~p66 ~pf2 ~pf3 ~rex
   in
   (inst, c.pos - pos)
 
@@ -472,9 +478,26 @@ let instructions data =
   in
   go 0 []
 
+(* The canonical re-encode check.  Every instruction is decoded first,
+   so a decode error anywhere in the block wins over a mismatch; a
+   mismatch names the first instruction whose re-encoding differs from
+   the bytes it was decoded from.  Up to that instruction the layouts
+   agree with the input, so its re-encoded offset is its input offset. *)
 let decode_block data =
   let insts = instructions data in
   let bytes, layouts = Encode.encode_block insts in
-  if bytes <> data then
-    raise (Decode_error ("re-encoding mismatch (non-canonical input)", 0));
+  if bytes <> data then begin
+    let differs (l : Encode.layout) =
+      let _, len = decode_one data ~pos:l.Encode.off in
+      len <> l.Encode.len
+      || String.sub data l.Encode.off len
+         <> String.sub bytes l.Encode.off l.Encode.len
+    in
+    let pos =
+      match List.find_opt differs layouts with
+      | Some l -> l.Encode.off
+      | None -> 0
+    in
+    raise (Decode_error ("re-encoding mismatch (non-canonical input)", pos))
+  end;
   layouts

@@ -16,7 +16,11 @@ exception Decode_error of string * int
 val decode_one : string -> pos:int -> Inst.t * int
 
 (** [decode_block s] decodes a whole basic block, returning the same
-    layout records {!Encode.encode_block} would produce for it. *)
+    layout records {!Encode.encode_block} would produce for it.
+    @raise Decode_error if an instruction does not decode (the first
+    such instruction wins), or else if [s] is not the canonical
+    encoding of what it decodes to; the offset is then that of the first
+    instruction whose re-encoding differs from its input bytes. *)
 val decode_block : string -> Encode.layout list
 
 (** [instructions s] is [decode_block] without the layout metadata. *)

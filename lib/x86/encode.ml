@@ -10,7 +10,7 @@ let unencodable i =
   raise (Unencodable (Inst.to_string i))
 
 (* ------------------------------------------------------------------ *)
-(* Abstract instruction form, rendered to bytes by [render].           *)
+(* Abstract instruction form, rendered to bytes by [emit].             *)
 
 type rm = RmReg of int | RmMem of Operand.mem
 
@@ -103,8 +103,10 @@ let emit_modrm buf reg_field rm =
        add_byte buf ((scale_bits s lsl 6) lor ((gidx i land 7) lsl 3) lor b3);
        add_disp disp)
 
-let render (f : form) : encoded =
-  let buf = Buffer.create 15 in
+(* Append the encoding of [f] to [buf]; returns the offset of the
+   nominal opcode relative to the instruction's first byte. *)
+let emit buf (f : form) =
+  let start = Buffer.length buf in
   List.iter (add_byte buf) f.legacy;
   let reg_ext = match f.modrm with Some (r, _) -> r >= 8 | None -> false in
   let rm_ext, idx_ext, base_ext =
@@ -120,7 +122,7 @@ let render (f : form) : encoded =
   let opcode_off =
     match f.vex with
     | Some v ->
-      let off = Buffer.length buf in
+      let off = Buffer.length buf - start in
       let r = not reg_ext and x = not idx_ext and b = not (rm_ext || base_ext) in
       let vvvv_inv = lnot v.vvvv land 0xF in
       if v.vmap = 1 && not v.vw && x && b then begin
@@ -146,7 +148,7 @@ let render (f : form) : encoded =
         lor (if rm_ext || base_ext || plus_ext then 1 else 0)
       in
       if bits <> 0 || f.force_rex then add_byte buf (0x40 lor bits);
-      let off = Buffer.length buf in
+      let off = Buffer.length buf - start in
       (match f.map with
        | `Primary -> ()
        | `Esc0F -> add_byte buf 0x0F
@@ -163,9 +165,9 @@ let render (f : form) : encoded =
   (match f.imm with
    | Some (v, n) -> add_int_le buf v n
    | None -> ());
-  let bytes = Buffer.contents buf in
-  assert (String.length bytes >= 1 && String.length bytes <= 15);
-  { bytes; opcode_off; has_lcp = f.lcp }
+  let len = Buffer.length buf - start in
+  assert (len >= 1 && len <= 15);
+  opcode_off
 
 (* ------------------------------------------------------------------ *)
 (* Form construction                                                   *)
@@ -232,10 +234,8 @@ let form_of_sse i =
   in
   let entries = Sse_table.find_by_mnem mnem in
   if entries = [] then unencodable i;
-  let pick kinds =
-    match
-      List.find_opt (fun e -> List.mem e.Sse_table.kind kinds) entries
-    with
+  let pick kind_ok =
+    match List.find_opt (fun e -> kind_ok e.Sse_table.kind) entries with
     | Some e -> e
     | None -> unencodable i
   in
@@ -259,11 +259,13 @@ let form_of_sse i =
        { (mk e) with modrm = Some (d, RmReg x); imm = Some (v, 1) }
      | _ -> unencodable i)
   | [ Operand.Reg (Register.Xmm x); src; Operand.Imm v ] ->
-    let e = pick [ Sse_table.Xx_imm8 ] in
+    let e = pick (function Sse_table.Xx_imm8 -> true | _ -> false) in
     { (mk e) with modrm = Some (x, rm_of_operand i src); imm = Some (v, 1) }
   | [ Operand.Reg (Register.Xmm x);
       ((Operand.Reg (Register.Xmm _) | Operand.Mem _) as src) ] ->
-    let e = pick [ Sse_table.Xx; Sse_table.X_gpr ] in
+    let e =
+      pick (function Sse_table.Xx | Sse_table.X_gpr -> true | _ -> false)
+    in
     let f = { (mk e) with modrm = Some (x, rm_of_operand i src) } in
     let wide =
       force_w
@@ -275,13 +277,17 @@ let form_of_sse i =
     if wide then { f with rex_w = true } else f
   | [ Operand.Reg (Register.Xmm x); Operand.Reg (Register.Gpr (w, g)) ] ->
     (* cvtsi2sd xmm, r32/r64 ; movd/movq xmm, r32/r64 *)
-    let e = pick [ Sse_table.X_gpr ] in
+    let e = pick (function Sse_table.X_gpr -> true | _ -> false) in
     let f = { (mk e) with modrm = Some (x, RmReg (gidx g)) } in
     if w = Register.W64 || force_w then { f with rex_w = true } else f
   | [ Operand.Reg (Register.Gpr (w, g));
       ((Operand.Reg (Register.Xmm _) | Operand.Mem _) as src) ] ->
     (* cvttsd2si r, xmm/m — or movd/movq r, xmm (store direction) *)
-    let e = pick [ Sse_table.Gpr_x; Sse_table.Gpr_store ] in
+    let e =
+      pick (function
+        | Sse_table.Gpr_x | Sse_table.Gpr_store -> true
+        | _ -> false)
+    in
     let f =
       match e.Sse_table.kind with
       | Sse_table.Gpr_x ->
@@ -295,7 +301,11 @@ let form_of_sse i =
     in
     if w = Register.W64 || force_w then { f with rex_w = true } else f
   | [ (Operand.Mem _ as dst); Operand.Reg (Register.Xmm x) ] ->
-    let e = pick [ Sse_table.Xx_store; Sse_table.Gpr_store ] in
+    let e =
+      pick (function
+        | Sse_table.Xx_store | Sse_table.Gpr_store -> true
+        | _ -> false)
+    in
     { (mk e) with modrm = Some (x, rm_of_operand i dst) }
   | _ -> unencodable i
 
@@ -374,7 +384,7 @@ let form_of_inst (i : Inst.t) : form =
     match i.mnem, i.ops with
     (* ----- ALU binary ----- *)
     | (ADD | OR | ADC | SBB | AND | SUB | XOR | CMP), [ dst; src ] ->
-      let idx = List.assoc i.mnem alu_indices in
+      let idx = List.assq i.mnem alu_indices in
       let w = int_width i in
       (match dst, src with
        | (Operand.Reg _ | Operand.Mem _), Operand.Reg r ->
@@ -481,7 +491,7 @@ let form_of_inst (i : Inst.t) : form =
       end
     (* ----- shifts ----- *)
     | (SHL | SHR | SAR | ROL | ROR), [ dst; amount ] ->
-      let d = List.assoc i.mnem shift_digits in
+      let d = List.assq i.mnem shift_digits in
       let w = int_width i in
       (match amount with
        | Operand.Imm v ->
@@ -605,9 +615,13 @@ let form_of_inst (i : Inst.t) : form =
     | _ ->
       if Inst.is_vex i then form_of_vex i else form_of_sse i
   in
-  { form with force_rex = form.force_rex || force }
+  if force && not form.force_rex then { form with force_rex = true } else form
 
-let encode i = render (form_of_inst i)
+let encode i =
+  let buf = Buffer.create 15 in
+  let f = form_of_inst i in
+  let opcode_off = emit buf f in
+  { bytes = Buffer.contents buf; opcode_off; has_lcp = f.lcp }
 
 let length i = String.length (encode i).bytes
 
@@ -624,11 +638,11 @@ let encode_block insts =
   let layouts =
     List.map
       (fun inst ->
-        let e = encode inst in
+        let f = form_of_inst inst in
         let off = Buffer.length buf in
-        Buffer.add_string buf e.bytes;
-        { inst; off; len = String.length e.bytes;
-          nominal_opcode_off = off + e.opcode_off; lcp = e.has_lcp })
+        let opcode_off = emit buf f in
+        { inst; off; len = Buffer.length buf - off;
+          nominal_opcode_off = off + opcode_off; lcp = f.lcp })
       insts
   in
   (Buffer.contents buf, layouts)

@@ -56,17 +56,78 @@ let equal (a : t) (b : t) = a = b
 
 let all_conds = [ O; NO; B; NB; E; NE; BE; NBE; S; NS; P; NP; L; NL; LE; NLE ]
 
-let cond_code c =
-  let rec idx i = function
-    | [] -> assert false
-    | x :: rest -> if x = c then i else idx (i + 1) rest
-  in
-  idx 0 all_conds
+let cond_code = function
+  | O -> 0 | NO -> 1 | B -> 2 | NB -> 3
+  | E -> 4 | NE -> 5 | BE -> 6 | NBE -> 7
+  | S -> 8 | NS -> 9 | P -> 10 | NP -> 11
+  | L -> 12 | NL -> 13 | LE -> 14 | NLE -> 15
+
+let conds_by_code = Array.of_list all_conds
 
 let cond_of_code n =
-  match List.nth_opt all_conds n with
-  | Some c -> c
-  | None -> invalid_arg "Inst.cond_of_code"
+  if n < 0 || n > 15 then invalid_arg "Inst.cond_of_code"
+  else conds_by_code.(n)
+
+(* Dense code of a mnemonic, in declaration order; the condition-code
+   families take sixteen consecutive codes each. No wildcard arm: a new
+   mnemonic does not compile until it is given a code here. *)
+let mnemonic_index = function
+  | ADD -> 0 | SUB -> 1 | ADC -> 2 | SBB -> 3 | AND -> 4 | OR -> 5 | XOR -> 6
+  | CMP -> 7
+  | MOV -> 8 | TEST -> 9 | LEA -> 10 | INC -> 11 | DEC -> 12 | NEG -> 13
+  | NOT -> 14
+  | IMUL -> 15 | MUL -> 16 | DIV -> 17 | IDIV -> 18
+  | SHL -> 19 | SHR -> 20 | SAR -> 21 | ROL -> 22 | ROR -> 23
+  | MOVZX -> 24 | MOVSX -> 25 | MOVSXD -> 26 | XCHG -> 27 | BSWAP -> 28
+  | PUSH -> 29 | POP -> 30
+  | BSF -> 31 | BSR -> 32 | POPCNT -> 33 | LZCNT -> 34 | TZCNT -> 35
+  | CDQ -> 36 | CQO -> 37 | CWDE -> 38 | CDQE -> 39 | NOP -> 40 | NOPL -> 41
+  | SHLD -> 42 | SHRD -> 43
+  | BT -> 44 | BTS -> 45 | BTR -> 46 | BTC -> 47
+  | MOVBE -> 48
+  | CLC -> 49 | STC -> 50 | CMC -> 51
+  | ANDN -> 52 | BZHI -> 53 | SHLX -> 54 | SHRX -> 55 | SARX -> 56
+  | JMP -> 57
+  | Jcc c -> 58 + cond_code c
+  | SETcc c -> 74 + cond_code c
+  | CMOVcc c -> 90 + cond_code c
+  | MOVAPS -> 106 | MOVUPS -> 107 | MOVAPD -> 108 | MOVSS -> 109
+  | MOVSD -> 110
+  | MOVDQA -> 111 | MOVDQU -> 112
+  | MOVD -> 113 | MOVQ -> 114
+  | ADDPS -> 115 | ADDPD -> 116 | ADDSS -> 117 | ADDSD -> 118
+  | SUBPS -> 119 | SUBPD -> 120 | SUBSS -> 121 | SUBSD -> 122
+  | MULPS -> 123 | MULPD -> 124 | MULSS -> 125 | MULSD -> 126
+  | DIVPS -> 127 | DIVPD -> 128 | DIVSS -> 129 | DIVSD -> 130
+  | MINPS -> 131 | MAXPS -> 132 | MINPD -> 133 | MAXPD -> 134 | MINSS -> 135
+  | MAXSS -> 136 | MINSD -> 137 | MAXSD -> 138
+  | SQRTPS -> 139 | SQRTPD -> 140 | SQRTSS -> 141 | SQRTSD -> 142
+  | ANDPS -> 143 | ANDPD -> 144 | ORPS -> 145 | XORPS -> 146 | XORPD -> 147
+  | UCOMISS -> 148 | UCOMISD -> 149
+  | HADDPS -> 150 | ROUNDSD -> 151
+  | SHUFPS -> 152 | UNPCKHPS -> 153 | UNPCKLPD -> 154
+  | PXOR -> 155 | POR -> 156 | PAND -> 157
+  | PADDB -> 158 | PADDD -> 159 | PADDQ -> 160 | PSUBD -> 161
+  | PMULLD -> 162 | PMULUDQ -> 163
+  | PCMPEQB -> 164 | PCMPEQD -> 165 | PCMPGTD -> 166
+  | PMAXSD -> 167 | PMINSD -> 168 | PMAXUB -> 169 | PMINUB -> 170
+  | PSHUFB -> 171 | PALIGNR -> 172 | PACKSSDW -> 173
+  | PUNPCKLDQ -> 174 | PSHUFD -> 175 | PSLLD -> 176 | PSRLD -> 177
+  | PSLLDQ -> 178 | PSRLDQ -> 179
+  | CVTSI2SD -> 180 | CVTSI2SS -> 181 | CVTTSD2SI -> 182 | CVTSS2SD -> 183
+  | CVTSD2SS -> 184
+  | CVTDQ2PS -> 185 | CVTPS2DQ -> 186 | CVTTPS2DQ -> 187
+  | VMOVAPS -> 188 | VMOVUPS -> 189 | VMOVDQA -> 190 | VMOVDQU -> 191
+  | VADDPS -> 192 | VADDPD -> 193 | VSUBPS -> 194 | VMULPS -> 195
+  | VMULPD -> 196 | VDIVPS -> 197
+  | VSQRTPS -> 198 | VXORPS -> 199 | VANDPS -> 200 | VMINPS -> 201
+  | VMAXPS -> 202
+  | VPXOR -> 203 | VPADDD -> 204 | VPMULLD -> 205 | VPAND -> 206 | VPOR -> 207
+  | VFMADD231PS -> 208 | VFMADD231PD -> 209 | VFMADD231SS -> 210
+  | VFMADD231SD -> 211
+  | VFMADD132PS -> 212 | VFMADD213PS -> 213
+
+let n_mnemonics = 214
 
 let cond_name = function
   | O -> "o" | NO -> "no" | B -> "b" | NB -> "ae"
@@ -197,13 +258,13 @@ let is_vex i =
   | _ -> false
 
 let mem_operand i =
-  if i.mnem = LEA || i.mnem = NOPL then None
-  else
-    List.find_map (function Operand.Mem m -> Some m | _ -> None) i.ops
+  match i.mnem with
+  | LEA | NOPL -> None
+  | _ -> List.find_map (function Operand.Mem m -> Some m | _ -> None) i.ops
 
 let loads i =
   match mem_operand i with
-  | None -> i.mnem = POP
+  | None -> (match i.mnem with POP -> true | _ -> false)
   | Some _ ->
     (* memory-destination forms both load and store, except plain
        stores (MOV/MOVAPS/... with a memory destination just store) *)
@@ -221,7 +282,7 @@ let stores i =
     (match i.mnem with
      | CMP | TEST | UCOMISS | UCOMISD | NOPL | BT -> false
      | _ -> true)
-  | _ -> i.mnem = PUSH
+  | _ -> (match i.mnem with PUSH -> true | _ -> false)
 
 let vec_mem_width ~w ~ymm = function
   | MOVSS | ADDSS | SUBSS | MULSS | DIVSS | SQRTSS | CVTSS2SD | UCOMISS

@@ -92,6 +92,13 @@ val all_conds : cond list
     whole instruction space. *)
 val all_mnemonics : mnemonic list
 
+(** [mnemonic_index m] is a dense code of [m] in [\[0, n_mnemonics)],
+    distinct for every mnemonic of {!all_mnemonics}: the key of the
+    per-mnemonic tables ({!Sse_table}, the flat instruction tables). *)
+val mnemonic_index : mnemonic -> int
+
+val n_mnemonics : int
+
 (** Canonical lower-case mnemonic text ("add", "jne", "cmovge", ...). *)
 val mnemonic_name : mnemonic -> string
 

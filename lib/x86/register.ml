@@ -22,10 +22,11 @@ let all_gprs =
   [ RAX; RCX; RDX; RBX; RSP; RBP; RSI; RDI;
     R8; R9; R10; R11; R12; R13; R14; R15 ]
 
+let gprs_by_index = Array.of_list all_gprs
+
 let gpr_of_index i =
-  match List.nth_opt all_gprs i with
-  | Some r -> r
-  | None -> invalid_arg "Register.gpr_of_index"
+  if i < 0 || i > 15 then invalid_arg "Register.gpr_of_index"
+  else gprs_by_index.(i)
 
 let width_bytes = function W8 -> 1 | W16 -> 2 | W32 -> 4 | W64 -> 8
 

@@ -70,10 +70,30 @@ let entries =
     e CVTDQ2PS PNone 0x5B Xx; e CVTPS2DQ P66 0x5B Xx;
     e CVTTPS2DQ PF3 0x5B Xx ]
 
-let find_by_mnem m = List.filter (fun x -> x.mnem = m) entries
+(* [group n slots rows] files every row under each of its slots in an
+   array of [n] lists, keeping table order within a slot. *)
+let group n slots rows =
+  let a = Array.make n [] in
+  List.iter
+    (fun r -> List.iter (fun s -> a.(s) <- r :: a.(s)) (slots r))
+    (List.rev rows);
+  a
+
+let by_mnem =
+  group Inst.n_mnemonics (fun x -> [ Inst.mnemonic_index x.mnem ]) entries
+
+let find_by_mnem m = by_mnem.(Inst.mnemonic_index m)
+
+let pp_index = function PNone -> 0 | P66 -> 1 | PF2 -> 2 | PF3 -> 3
+let map_index = function M0F -> 0 | M0F38 -> 1 | M0F3A -> 2
+
+let opcode_slot pp map op = (((pp_index pp * 3) + map_index map) lsl 8) lor op
+
+let by_opcode =
+  group (4 * 3 * 256) (fun x -> [ opcode_slot x.pp x.map x.op ]) entries
 
 let find_by_opcode pp map op =
-  List.find_opt (fun x -> x.pp = pp && x.map = map && x.op = op) entries
+  if op land lnot 0xFF <> 0 then [] else by_opcode.(opcode_slot pp map op)
 
 type vkind =
   | Vrm
@@ -124,11 +144,27 @@ let ventries =
     { vmnem = SHRX; vpp = 3; vmap = 2; vop = 0xF7; vw = None; vkind = Vgpr_rmv };
     { vmnem = SARX; vpp = 2; vmap = 2; vop = 0xF7; vw = None; vkind = Vgpr_rmv } ]
 
-let vfind_by_mnem m = List.filter (fun x -> x.vmnem = m) ventries
+let vby_mnem =
+  group Inst.n_mnemonics (fun x -> [ Inst.mnemonic_index x.vmnem ]) ventries
+
+let vfind_by_mnem m = vby_mnem.(Inst.mnemonic_index m)
+
+(* VEX.pp is two bits and the decoder's map field five, but only maps
+   0-3 are indexed: the table uses 1-3 and every other map misses. *)
+let vopcode_slot ~pp ~map ~op ~w =
+  (((((pp * 4) + map) lsl 8) lor op) lsl 1) lor Bool.to_int w
+
+let vby_opcode =
+  group (4 * 4 * 256 * 2)
+    (fun x ->
+      let slot w = vopcode_slot ~pp:x.vpp ~map:x.vmap ~op:x.vop ~w in
+      match x.vw with None -> [ slot false; slot true ] | Some w -> [ slot w ])
+    ventries
 
 let vfind_by_opcode ~pp ~map ~op ~w =
-  List.find_opt
-    (fun x ->
-      x.vpp = pp && x.vmap = map && x.vop = op
-      && (match x.vw with None -> true | Some b -> b = w))
-    ventries
+  if pp land lnot 3 <> 0 || map land lnot 3 <> 0 || op land lnot 0xFF <> 0
+  then None
+  else
+    match vby_opcode.(vopcode_slot ~pp ~map ~op ~w) with
+    | x :: _ -> Some x
+    | [] -> None

@@ -23,12 +23,17 @@ type entry = { mnem : Inst.mnemonic; pp : pp; map : omap; op : int; kind : kind 
     MOVD/MOVQ share 0x6E/0x7E (distinguished by REX.W at decode). *)
 val entries : entry list
 
-(** [find_by_mnem m] lists the entries for mnemonic [m] (a data-movement
-    mnemonic has both a load and a store entry). *)
+(** The lookups below are O(1) array indexes built once from the
+    tables; each returns what a scan of the table in order would. *)
+
+(** [find_by_mnem m] lists the entries for mnemonic [m] in table order
+    (a data-movement mnemonic has both a load and a store entry). *)
 val find_by_mnem : Inst.mnemonic -> entry list
 
-(** [find_by_opcode pp map op] finds the decoding entry, if any. *)
-val find_by_opcode : pp -> omap -> int -> entry option
+(** [find_by_opcode pp map op] lists the entries with key
+    [(pp, map, op)] in table order: one, none, or several that share an
+    opcode (the shift groups, told apart by ModRM /digit; MOVD/MOVQ). *)
+val find_by_opcode : pp -> omap -> int -> entry list
 
 (** VEX operand pattern. *)
 type vkind =
@@ -48,5 +53,10 @@ type ventry = {
 }
 
 val ventries : ventry list
+
+(** [vfind_by_mnem m] lists the VEX entries for [m] in table order. *)
 val vfind_by_mnem : Inst.mnemonic -> ventry list
+
+(** [vfind_by_opcode ~pp ~map ~op ~w] is the first VEX entry with that
+    key whose [vw] admits [w], if any. *)
 val vfind_by_opcode : pp:int -> map:int -> op:int -> w:bool -> ventry option

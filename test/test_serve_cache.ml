@@ -349,6 +349,31 @@ let batch_error_leaves_no_store =
       Alcotest.(check bool) "no file at the store path" false
         (Sys.file_exists path))
 
+let missing_input_file =
+  Alcotest.test_case "a missing input file is a generic error, not a crash"
+    `Quick (fun () ->
+      let path = Filename.temp_file "facile-missing" ".txt" in
+      Sys.remove path;
+      let out = Filename.temp_file "facile-missing" ".out"
+      and err = Filename.temp_file "facile-missing" ".err" in
+      Fun.protect ~finally:(fun () -> List.iter Sys.remove [ out; err ])
+      @@ fun () ->
+      List.iter
+        (fun cmd ->
+          let rc =
+            Sys.command
+              (Printf.sprintf "%s %s %s >%s 2>%s" facile_exe cmd
+                 (Filename.quote path) (Filename.quote out)
+                 (Filename.quote err))
+          in
+          Alcotest.(check int) (cmd ^ ": exit code") 1 rc;
+          Alcotest.(check string) (cmd ^ ": stdout is empty") ""
+            (read_file out);
+          Alcotest.(check string) (cmd ^ ": stderr")
+            (Printf.sprintf "error: %s: No such file or directory\n" path)
+            (read_file err))
+        [ "predict"; "batch"; "batch --json -q"; "explain" ])
+
 let suite =
   [ ( "serve.cache",
       [ miss_and_hits_identical;
@@ -356,4 +381,4 @@ let suite =
         hits_skip_compute; hit_beats_zero_deadline ] );
     ( "batch.cli",
       [ batch_deterministic; batch_first_bad_line_wins; batch_measured_values;
-        batch_error_leaves_no_store ] ) ]
+        batch_error_leaves_no_store; missing_input_file ] ) ]

@@ -290,6 +290,157 @@ let qcheck_decode_no_crash =
       in
       probe Decode.decode_block && probe Decode.instructions)
 
+(* ------------------------------------------------------------------ *)
+(* Differential tests: the block decoder against the composition it    *)
+(* stands for, the SSE/VEX table indexes against linear scans of the   *)
+(* tables, and block building from bytes against building from the    *)
+(* instructions.                                                       *)
+
+let mismatch_msg = "re-encoding mismatch (non-canonical input)"
+
+(* decode every instruction, re-encode the block, compare the bytes *)
+let reference_decode_block s =
+  let bytes, layouts = Encode.encode_block (Decode.instructions s) in
+  if bytes = s then Some layouts else None
+
+(* Oracle for the mismatch position: walk the input one instruction at
+   a time and re-encode each on its own. *)
+let first_noncanonical s =
+  let rec go pos =
+    if pos >= String.length s then -1
+    else
+      let inst, len = Decode.decode_one s ~pos in
+      if (Encode.encode inst).Encode.bytes <> String.sub s pos len then pos
+      else go (pos + len)
+  in
+  go 0
+
+let decode_block_agrees s =
+  let outcome f = match f s with v -> Ok v | exception e -> Error e in
+  match outcome Decode.decode_block, outcome reference_decode_block with
+  | Ok l, Ok (Some l') -> l = l'
+  | Error (Decode.Decode_error (msg, pos)), Ok None ->
+    msg = mismatch_msg && pos = first_noncanonical s
+  | Error e, Error e' -> e = e'
+  | Ok _, _ | Error _, Ok _ ->
+    QCheck.Test.fail_reportf "decode_block and the reference disagree on %S" s
+
+(* a Genblock block's encoding with one byte replaced *)
+let gen_mutated_block =
+  let open QCheck.Gen in
+  let* seed = int_bound 100_000 in
+  let* profile = oneofl Facile_bhive.Genblock.all_profiles in
+  let* len = int_range 1 10 in
+  let* at = nat in
+  let+ byte = int_bound 255 in
+  let rng = Facile_bhive.Prng.create (seed + 1) in
+  let insts = Facile_bhive.Genblock.body rng profile ~allow_fma:true ~len in
+  let bytes, _ = Encode.encode_block insts in
+  let at = at mod String.length bytes in
+  String.mapi (fun i c -> if i = at then Char.chr byte else c) bytes
+
+let qcheck_decode_block_arbitrary =
+  QCheck.Test.make ~count:3000
+    ~name:"decode_block = decode, re-encode, compare (arbitrary bytes)"
+    QCheck.(string_of_size Gen.(0 -- 64))
+    decode_block_agrees
+
+let qcheck_decode_block_mutated =
+  QCheck.Test.make ~count:3000
+    ~name:"decode_block = decode, re-encode, compare (mutated blocks)"
+    (QCheck.make gen_mutated_block ~print:(Printf.sprintf "%S"))
+    decode_block_agrees
+
+let mismatch_position =
+  Alcotest.test_case "a mismatch names the first non-canonical instruction"
+    `Quick (fun () ->
+      let pos s =
+        match Decode.decode_block s with
+        | _ -> Alcotest.failf "%S decoded" s
+        | exception Decode.Decode_error (msg, p) -> (msg, p)
+      in
+      (* add rax, rax; then add eax, eax in its non-canonical 03 /r form *)
+      Alcotest.(check (pair string int)) "second instruction"
+        (mismatch_msg, 3) (pos "\x48\x01\xc0\x03\xc0");
+      Alcotest.(check (pair string int)) "first instruction"
+        (mismatch_msg, 0) (pos "\x03\xc0\x48\x01\xc0");
+      (* a decode error anywhere wins over an earlier mismatch *)
+      Alcotest.(check (pair string int)) "decode error wins"
+        ("truncated instruction", 2) (pos "\x03\xc0\xff"))
+
+let sse_indexes_match_scans =
+  Alcotest.test_case "indexed SSE/VEX lookups = linear scans of the tables"
+    `Quick (fun () ->
+      let open Sse_table in
+      let same what a b =
+        if not (List.equal ( == ) a b) then Alcotest.failf "%s differs" what
+      in
+      let codes = List.map Inst.mnemonic_index Inst.all_mnemonics in
+      Alcotest.(check (list int)) "mnemonic_index is a bijection"
+        (List.init Inst.n_mnemonics Fun.id) (List.sort_uniq compare codes);
+      Alcotest.(check int) "no mnemonic twice" Inst.n_mnemonics
+        (List.length codes);
+      List.iter
+        (fun m ->
+          let name = Inst.mnemonic_name m in
+          same ("find_by_mnem " ^ name) (find_by_mnem m)
+            (List.filter (fun e -> e.mnem = m) entries);
+          same ("vfind_by_mnem " ^ name) (vfind_by_mnem m)
+            (List.filter (fun e -> e.vmnem = m) ventries))
+        Inst.all_mnemonics;
+      List.iter
+        (fun pp ->
+          List.iter
+            (fun map ->
+              for op = 0 to 255 do
+                same
+                  (Printf.sprintf "find_by_opcode %02x" op)
+                  (find_by_opcode pp map op)
+                  (List.filter
+                     (fun e -> e.pp = pp && e.map = map && e.op = op)
+                     entries)
+              done)
+            [ M0F; M0F38; M0F3A ])
+        [ PNone; P66; PF2; PF3 ];
+      for pp = 0 to 3 do
+        for map = 0 to 31 do
+          for op = 0 to 255 do
+            List.iter
+              (fun w ->
+                same
+                  (Printf.sprintf "vfind_by_opcode %d %d %02x %b" pp map op w)
+                  (Option.to_list (vfind_by_opcode ~pp ~map ~op ~w))
+                  (Option.to_list
+                     (List.find_opt
+                        (fun e ->
+                          e.vpp = pp && e.vmap = map && e.vop = op
+                          && (match e.vw with None -> true | Some b -> b = w))
+                        ventries)))
+              [ false; true ]
+          done
+        done
+      done)
+
+let qcheck_block_of_bytes =
+  QCheck.Test.make ~count:100
+    ~name:"Block.of_bytes (encode insts) = Block.of_instructions insts"
+    QCheck.(
+      make
+        ~print:(fun (seed, looped, len) ->
+          Printf.sprintf "seed=%d looped=%b len=%d" seed looped len)
+        Gen.(triple (int_bound 100_000) bool (int_range 1 12)))
+    (fun (seed, looped, len) ->
+      let open Facile_core in
+      let rng = Facile_bhive.Prng.create (seed + 1) in
+      let profiles = Facile_bhive.Genblock.all_profiles in
+      let profile = List.nth profiles (seed mod List.length profiles) in
+      let body = Facile_bhive.Genblock.body rng profile ~allow_fma:false ~len in
+      let insts = if looped then Facile_bhive.Genblock.looped body else body in
+      let bytes, _ = Encode.encode_block insts in
+      List.for_all
+        (fun cfg -> Block.of_bytes cfg bytes = Block.of_instructions cfg insts)
+        Facile_uarch.Config.all)
+
 (* Hex.decode on arbitrary text: either a clean byte string that
    re-encodes to the digits we fed in, or a typed Bad_hex error whose
    position indexes the first offending character of the original
@@ -432,6 +583,11 @@ let suite =
       QCheck_alcotest.to_alcotest qcheck_decode_no_crash;
       QCheck_alcotest.to_alcotest qcheck_hex_roundtrip;
       QCheck_alcotest.to_alcotest qcheck_hex_oracle; asm_errors ];
+    "x86.differential",
+    [ QCheck_alcotest.to_alcotest qcheck_decode_block_arbitrary;
+      QCheck_alcotest.to_alcotest qcheck_decode_block_mutated;
+      mismatch_position; sse_indexes_match_scans;
+      QCheck_alcotest.to_alcotest qcheck_block_of_bytes ];
     "x86.layout", layout_tests;
     "x86.roundtrip", block_roundtrip :: roundtrip_tests;
     "x86.asm", [ asm_roundtrip; register_names ];
